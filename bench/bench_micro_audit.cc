@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "base/json_writer.h"
 #include "base/string_util.h"
-#include "core/json.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "obs/obs.h"

@@ -89,17 +89,12 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
     return partial;
   }
 
-  Result<metrics::GroupPartition> partition =
-      metrics::GroupPartition::Build(input);
-  partial.partition_status = partition.status();
+  partial.partition_status = input.Validate(/*require_labels=*/false);
   if (!partial.partition_status.ok()) return partial;
-  metrics::AccumulateGroupCounts(std::move(partition).ValueOrDie(),
-                                 !input.labels.empty(), &partial.counts);
+  metrics::AccumulateGroupCounts(input, &partial.counts);
   for (size_t i = 0; i < strata.size(); ++i) {
-    stats::GroupCounts row;
-    row.count = 1;
-    row.positive_predictions = input.predictions[i];
-    partial.strata_counts.Stratum(strata[i])->Add(input.groups[i], row);
+    partial.strata_counts.Stratum(strata[i])->AddRow(input.groups[i],
+                                                     input.predictions[i]);
   }
   if (!config.score_column.empty()) {
     for (size_t i = 0; i < scores.size(); ++i) {

@@ -7,7 +7,7 @@
 
 namespace fairlaw {
 
-std::string JsonEscape(const std::string& text) {
+std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
   for (char c : text) {

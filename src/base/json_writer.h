@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/result.h"
@@ -53,7 +54,7 @@ class JsonWriter {
 
 /// Escapes a string for inclusion in a JSON document (quotes, control
 /// characters, backslashes).
-std::string JsonEscape(const std::string& text);
+std::string JsonEscape(std::string_view text);
 
 }  // namespace fairlaw
 

@@ -48,7 +48,6 @@
 #include "mitigation/reweighing.h"            // IWYU pragma: export
 #include "mitigation/sampling.h"              // IWYU pragma: export
 #include "mitigation/threshold_optimizer.h"   // IWYU pragma: export
-#include "ml/calibration.h"                   // IWYU pragma: export
 #include "ml/cross_validation.h"              // IWYU pragma: export
 #include "ml/decision_tree.h"                 // IWYU pragma: export
 #include "ml/feature_importance.h"            // IWYU pragma: export
@@ -64,6 +63,7 @@
 #include "simulation/feedback_loop.h"         // IWYU pragma: export
 #include "simulation/scenarios.h"             // IWYU pragma: export
 #include "stats/bootstrap.h"                  // IWYU pragma: export
+#include "stats/calibration.h"                // IWYU pragma: export
 #include "stats/distance.h"                   // IWYU pragma: export
 #include "stats/hypothesis.h"                 // IWYU pragma: export
 #include "stats/mmd.h"                        // IWYU pragma: export

@@ -1,7 +1,6 @@
 #include "metrics/conditional_metrics.h"
 
 #include <algorithm>
-#include <map>
 
 #include "base/string_util.h"
 #include "metrics/group_metrics.h"
@@ -10,41 +9,20 @@
 namespace fairlaw::metrics {
 namespace {
 
-/// Partitions input rows by stratum value (first-seen order preserved).
-Result<std::vector<std::pair<std::string, std::vector<size_t>>>>
-PartitionByStratum(const MetricInput& input,
-                   const std::vector<std::string>& strata) {
+/// Tallies the rows by stratum, then group (both in first-seen order) —
+/// the same counts the chunked audit engine merges, so the row-wise
+/// entry points are the one-chunk case of the *FromCounts forms.
+FAIRLAW_NODISCARD Result<stats::StratifiedCountsAccumulator> TallyStrata(
+    const MetricInput& input, const std::vector<std::string>& strata) {
+  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
   if (strata.size() != input.size()) {
     return Status::Invalid("conditional metric: strata/input size mismatch");
   }
-  std::vector<std::pair<std::string, std::vector<size_t>>> partitions;
-  std::map<std::string, size_t> index_of;
+  stats::StratifiedCountsAccumulator counts;
   for (size_t i = 0; i < strata.size(); ++i) {
-    auto [it, inserted] = index_of.try_emplace(strata[i], partitions.size());
-    if (inserted) partitions.push_back({strata[i], {}});
-    partitions[it->second].second.push_back(i);
+    counts.Stratum(strata[i])->AddRow(input.groups[i], input.predictions[i]);
   }
-  return partitions;
-}
-
-MetricInput Subset(const MetricInput& input, const std::vector<size_t>& rows) {
-  MetricInput out;
-  out.groups.reserve(rows.size());
-  out.predictions.reserve(rows.size());
-  if (!input.labels.empty()) out.labels.reserve(rows.size());
-  for (size_t row : rows) {
-    out.groups.push_back(input.groups[row]);
-    out.predictions.push_back(input.predictions[row]);
-    if (!input.labels.empty()) out.labels.push_back(input.labels[row]);
-  }
-  return out;
-}
-
-size_t CountDistinctGroups(const MetricInput& input) {
-  std::vector<std::string> groups = input.groups;
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  return groups.size();
+  return counts;
 }
 
 }  // namespace
@@ -52,77 +30,28 @@ size_t CountDistinctGroups(const MetricInput& input) {
 Result<ConditionalReport> ConditionalStatisticalParity(
     const MetricInput& input, const std::vector<std::string>& strata,
     double tolerance, size_t min_stratum_size) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  FAIRLAW_ASSIGN_OR_RETURN(auto partitions, PartitionByStratum(input, strata));
-
-  ConditionalReport report;
-  report.metric_name = "conditional_statistical_parity";
-  report.tolerance = tolerance;
-  report.satisfied = true;
-  std::string skipped;
-  size_t evaluated = 0;
-  for (const auto& [stratum, rows] : partitions) {
-    MetricInput slice = Subset(input, rows);
-    if (rows.size() < min_stratum_size || CountDistinctGroups(slice) < 2) {
-      if (!skipped.empty()) skipped += ", ";
-      skipped += stratum;
-      continue;
-    }
-    FAIRLAW_ASSIGN_OR_RETURN(MetricReport inner,
-                             DemographicParity(slice, tolerance));
-    inner.metric_name = "demographic_parity[" + stratum + "]";
-    report.max_gap = std::max(report.max_gap, inner.max_gap);
-    report.satisfied = report.satisfied && inner.satisfied;
-    report.strata.push_back(StratumReport{stratum, std::move(inner)});
-    ++evaluated;
-  }
-  if (evaluated == 0) {
-    return Status::Invalid("conditional_statistical_parity: no stratum was "
-                           "large enough to evaluate");
-  }
-  if (!skipped.empty()) {
-    report.detail = "skipped strata (too small or single-group): " + skipped;
-  }
-  return report;
+  FAIRLAW_ASSIGN_OR_RETURN(stats::StratifiedCountsAccumulator counts,
+                           TallyStrata(input, strata));
+  return ConditionalStatisticalParityFromCounts(counts, tolerance,
+                                                min_stratum_size);
 }
 
 Result<ConditionalReport> ConditionalDemographicDisparity(
     const MetricInput& input, const std::vector<std::string>& strata,
     size_t min_stratum_size) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  FAIRLAW_ASSIGN_OR_RETURN(auto partitions, PartitionByStratum(input, strata));
-
-  ConditionalReport report;
-  report.metric_name = "conditional_demographic_disparity";
-  report.tolerance = 0.0;
-  report.satisfied = true;
-  std::string skipped;
-  size_t evaluated = 0;
-  for (const auto& [stratum, rows] : partitions) {
-    if (rows.size() < min_stratum_size) {
-      if (!skipped.empty()) skipped += ", ";
-      skipped += stratum;
-      continue;
-    }
-    MetricInput slice = Subset(input, rows);
-    FAIRLAW_ASSIGN_OR_RETURN(MetricReport inner, DemographicDisparity(slice));
-    inner.metric_name = "demographic_disparity[" + stratum + "]";
-    report.max_gap = std::max(report.max_gap, inner.max_gap);
-    report.satisfied = report.satisfied && inner.satisfied;
-    report.strata.push_back(StratumReport{stratum, std::move(inner)});
-    ++evaluated;
-  }
-  if (evaluated == 0) {
-    return Status::Invalid("conditional_demographic_disparity: no stratum "
-                           "was large enough to evaluate");
-  }
-  if (!skipped.empty()) report.detail = "skipped strata: " + skipped;
-  return report;
+  FAIRLAW_ASSIGN_OR_RETURN(stats::StratifiedCountsAccumulator counts,
+                           TallyStrata(input, strata));
+  return ConditionalDemographicDisparityFromCounts(counts, min_stratum_size);
 }
 
 Result<ConditionalReport> ConditionalStatisticalParityFromCounts(
     const stats::StratifiedCountsAccumulator& counts, double tolerance,
     size_t min_stratum_size) {
+  // Checked up front: a negative tolerance is an error even when every
+  // stratum is too small to evaluate.
+  if (tolerance < 0.0) {
+    return Status::Invalid("fairness metric: tolerance must be >= 0");
+  }
   ConditionalReport report;
   report.metric_name = "conditional_statistical_parity";
   report.tolerance = tolerance;

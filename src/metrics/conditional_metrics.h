@@ -43,9 +43,9 @@ FAIRLAW_NODISCARD Result<ConditionalReport> ConditionalDemographicDisparity(
 
 // Chunk-merged forms for the morsel-driven audit engine: the
 // StratifiedCountsAccumulator holds per-stratum, per-group tallies merged
-// in chunk order (strata and groups both in global first-seen row order),
-// and these produce reports identical to the row-wise forms above on the
-// concatenated input.
+// in chunk order (strata and groups both in global first-seen row order).
+// The row-wise forms above tally their rows into one such accumulator and
+// call these, so both produce identical reports on the same rows.
 
 FAIRLAW_NODISCARD Result<ConditionalReport> ConditionalStatisticalParityFromCounts(
     const stats::StratifiedCountsAccumulator& counts, double tolerance = 0.0,

@@ -1,7 +1,6 @@
 #include "metrics/fairness_metric.h"
 
 #include <algorithm>
-#include <map>
 
 #include "base/string_util.h"
 
@@ -36,74 +35,20 @@ Status MetricInput::Validate(bool require_labels) const {
   return Status::OK();
 }
 
-Result<GroupPartition> GroupPartition::Build(const MetricInput& input) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
-  GroupPartition partition;
-  partition.num_rows = input.size();
-  std::map<std::string, size_t> index_of;
-  for (size_t i = 0; i < input.size(); ++i) {
-    auto [it, inserted] =
-        index_of.try_emplace(input.groups[i], partition.group_names.size());
-    if (inserted) {
-      partition.group_names.push_back(input.groups[i]);
-      partition.group_bitmaps.emplace_back(partition.num_rows);
-    }
-    partition.group_bitmaps[it->second].Set(i);
-  }
-  partition.predictions = data::Bitmap(partition.num_rows);
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (input.predictions[i] == 1) partition.predictions.Set(i);
-  }
-  partition.has_labels = !input.labels.empty();
-  partition.labels = data::Bitmap(partition.has_labels ? partition.num_rows
-                                                       : 0);
-  if (partition.has_labels) {
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (input.labels[i] == 1) partition.labels.Set(i);
-    }
-  }
-  return partition;
-}
-
 Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
                                                   bool with_labels) {
   FAIRLAW_RETURN_NOT_OK(input.Validate(with_labels));
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           GroupPartition::Build(input));
-  return ComputeGroupStats(partition, with_labels);
-}
-
-Result<std::vector<GroupStats>> ComputeGroupStats(
-    const GroupPartition& partition, bool with_labels) {
-  if (with_labels && !partition.has_labels) {
-    return Status::Invalid("ComputeGroupStats: this metric requires labels "
-                           "for every row");
-  }
-  // The whole-table pass is the one-chunk case of the morsel path:
-  // accumulate this partition's popcounts, then derive rates from the
-  // integer tallies. Sharing the derivation with the chunked engine is
-  // what makes the byte-identity contract structural rather than
-  // coincidental.
   stats::GroupCountsAccumulator accumulator;
-  AccumulateGroupCounts(partition, with_labels, &accumulator);
+  AccumulateGroupCounts(input, &accumulator);
   return GroupStatsFromCounts(accumulator, with_labels);
 }
 
-void AccumulateGroupCounts(const GroupPartition& partition, bool with_labels,
+void AccumulateGroupCounts(const MetricInput& input,
                            stats::GroupCountsAccumulator* accumulator) {
-  for (size_t g = 0; g < partition.group_names.size(); ++g) {
-    const data::Bitmap& members = partition.group_bitmaps[g];
-    stats::GroupCounts tally;
-    tally.count = static_cast<int64_t>(members.Count());
-    tally.positive_predictions = static_cast<int64_t>(
-        data::Bitmap::AndCount(members, partition.predictions));
-    if (with_labels) {
-      tally.actual_positives = static_cast<int64_t>(
-          data::Bitmap::AndCount(members, partition.labels));
-      tally.true_positives = static_cast<int64_t>(data::Bitmap::AndCount3(
-          members, partition.predictions, partition.labels));
-    }
-    accumulator->Add(partition.group_names[g], tally);
+  const bool has_labels = !input.labels.empty();
+  for (size_t i = 0; i < input.size(); ++i) {
+    accumulator->AddRow(input.groups[i], input.predictions[i],
+                        has_labels ? input.labels[i] : 0);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "base/result.h"  // IWYU pragma: export
-#include "data/bitmap.h"
 #include "stats/mergeable.h"
 
 namespace fairlaw::metrics {
@@ -65,48 +64,19 @@ struct MetricReport {
   std::string detail;
 };
 
-/// Bitmap partition of a MetricInput, built once and shared by every
-/// group metric of an audit run (the audit::Auditor caches one per run).
-///
-/// Group membership, predictions, and labels are packed into
-/// data::Bitmap, so each per-group statistic is a fused word-wise
-/// AND + popcount over the packed words instead of a per-row pass over
-/// strings:
-///   count              = |group|
-///   positive_preds     = |group & predictions|
-///   true_positives     = |group & predictions & labels|
-///   false_positives    = |group & predictions & ~labels|
-/// Groups appear in first-seen row order, matching the serial
-/// ComputeGroupStats, so reports built either way are identical.
-struct GroupPartition {
-  std::vector<std::string> group_names;      // first-seen order
-  std::vector<data::Bitmap> group_bitmaps;   // aligned with group_names
-  data::Bitmap predictions;                  // bit i = predictions[i] == 1
-  data::Bitmap labels;                       // bit i = labels[i] == 1
-  bool has_labels = false;
-  size_t num_rows = 0;
-
-  /// Validates `input` and builds the partition (labels are packed when
-  /// present).
-  FAIRLAW_NODISCARD static Result<GroupPartition> Build(const MetricInput& input);
-};
-
 /// Computes per-group statistics. `with_labels` toggles the Y-conditional
-/// fields; when true the input must carry labels.
+/// fields; when true the input must carry labels. The rows are tallied
+/// by AccumulateGroupCounts and the rates derived by
+/// GroupStatsFromCounts — the whole table is the one-chunk case of the
+/// chunked audit, so both produce identical statistics.
 FAIRLAW_NODISCARD Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
                                                   bool with_labels);
 
-/// Same statistics from a prebuilt partition via the fused popcount
-/// kernels; `with_labels` requires partition.has_labels.
-FAIRLAW_NODISCARD Result<std::vector<GroupStats>> ComputeGroupStats(
-    const GroupPartition& partition, bool with_labels);
-
-/// Folds one partition's fused popcounts into `accumulator` — the morsel
-/// side of the chunked audit. Call once per chunk partition (in any
-/// order); merge the per-chunk accumulators in chunk order and the
-/// result feeds GroupStatsFromCounts. `with_labels` requires
-/// partition.has_labels.
-void AccumulateGroupCounts(const GroupPartition& partition, bool with_labels,
+/// Tallies every row of `input` into `accumulator` (labels too, when
+/// present), groups in first-seen row order. `input` must already have
+/// passed Validate. The chunked audit calls this once per chunk and
+/// merges the per-chunk accumulators in chunk order.
+void AccumulateGroupCounts(const MetricInput& input,
                            stats::GroupCountsAccumulator* accumulator);
 
 /// Derives GroupStats from chunk-merged integer tallies. Given an

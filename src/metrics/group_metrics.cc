@@ -22,30 +22,12 @@ Status CheckMultipleGroups(const std::vector<GroupStats>& stats) {
   return Status::OK();
 }
 
-/// Validates the row-wise input (label-requiring metrics demand labels up
-/// front so the error message names the missing piece) and builds the
-/// bitmap partition the metric bodies run on.
-Result<GroupPartition> PartitionInput(const MetricInput& input,
-                                      bool require_labels) {
-  FAIRLAW_RETURN_NOT_OK(input.Validate(require_labels));
-  return GroupPartition::Build(input);
-}
-
 }  // namespace
 
 Result<MetricReport> DemographicParity(const MetricInput& input,
                                        double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/false));
-  return DemographicParity(partition, tolerance);
-}
-
-Result<MetricReport> DemographicParity(const GroupPartition& partition,
-                                       double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
-  FAIRLAW_ASSIGN_OR_RETURN(
-      std::vector<GroupStats> stats,
-      ComputeGroupStats(partition, /*with_labels=*/false));
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
+                           ComputeGroupStats(input, /*with_labels=*/false));
   return DemographicParityFromStats(std::move(stats), tolerance);
 }
 
@@ -68,16 +50,8 @@ Result<MetricReport> DemographicParityFromStats(std::vector<GroupStats> stats,
 
 Result<MetricReport> EqualOpportunity(const MetricInput& input,
                                       double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return EqualOpportunity(partition, tolerance);
-}
-
-Result<MetricReport> EqualOpportunity(const GroupPartition& partition,
-                                      double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
+                           ComputeGroupStats(input, /*with_labels=*/true));
   return EqualOpportunityFromStats(std::move(stats), tolerance);
 }
 
@@ -106,16 +80,8 @@ Result<MetricReport> EqualOpportunityFromStats(std::vector<GroupStats> stats,
 
 Result<MetricReport> EqualizedOdds(const MetricInput& input,
                                    double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return EqualizedOdds(partition, tolerance);
-}
-
-Result<MetricReport> EqualizedOdds(const GroupPartition& partition,
-                                   double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
+                           ComputeGroupStats(input, /*with_labels=*/true));
   return EqualizedOddsFromStats(std::move(stats), tolerance);
 }
 
@@ -150,15 +116,8 @@ Result<MetricReport> EqualizedOddsFromStats(std::vector<GroupStats> stats,
 }
 
 Result<MetricReport> DemographicDisparity(const MetricInput& input) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/false));
-  return DemographicDisparity(partition);
-}
-
-Result<MetricReport> DemographicDisparity(const GroupPartition& partition) {
-  FAIRLAW_ASSIGN_OR_RETURN(
-      std::vector<GroupStats> stats,
-      ComputeGroupStats(partition, /*with_labels=*/false));
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
+                           ComputeGroupStats(input, /*with_labels=*/false));
   return DemographicDisparityFromStats(std::move(stats));
 }
 
@@ -192,19 +151,8 @@ Result<MetricReport> DemographicDisparityFromStats(
 
 Result<MetricReport> DisparateImpactRatio(const MetricInput& input,
                                           double threshold) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/false));
-  return DisparateImpactRatio(partition, threshold);
-}
-
-Result<MetricReport> DisparateImpactRatio(const GroupPartition& partition,
-                                          double threshold) {
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::Invalid("disparate_impact: threshold must lie in (0,1]");
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(
-      std::vector<GroupStats> stats,
-      ComputeGroupStats(partition, /*with_labels=*/false));
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
+                           ComputeGroupStats(input, /*with_labels=*/false));
   return DisparateImpactRatioFromStats(std::move(stats), threshold);
 }
 
@@ -239,16 +187,8 @@ Result<MetricReport> DisparateImpactRatioFromStats(
 
 Result<MetricReport> PredictiveParity(const MetricInput& input,
                                       double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return PredictiveParity(partition, tolerance);
-}
-
-Result<MetricReport> PredictiveParity(const GroupPartition& partition,
-                                      double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
+                           ComputeGroupStats(input, /*with_labels=*/true));
   return PredictiveParityFromStats(std::move(stats), tolerance);
 }
 
@@ -276,16 +216,8 @@ Result<MetricReport> PredictiveParityFromStats(std::vector<GroupStats> stats,
 
 Result<MetricReport> AccuracyEquality(const MetricInput& input,
                                       double tolerance) {
-  FAIRLAW_ASSIGN_OR_RETURN(GroupPartition partition,
-                           PartitionInput(input, /*require_labels=*/true));
-  return AccuracyEquality(partition, tolerance);
-}
-
-Result<MetricReport> AccuracyEquality(const GroupPartition& partition,
-                                      double tolerance) {
-  FAIRLAW_RETURN_NOT_OK(CheckTolerance(tolerance));
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<GroupStats> stats,
-                           ComputeGroupStats(partition, /*with_labels=*/true));
+                           ComputeGroupStats(input, /*with_labels=*/true));
   return AccuracyEqualityFromStats(std::move(stats), tolerance);
 }
 

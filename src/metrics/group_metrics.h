@@ -11,22 +11,17 @@ namespace fairlaw::metrics {
 // of the constrained rate is <= tolerance (the paper's equalities, made
 // testable on finite samples).
 //
-// Every metric has three forms: the MetricInput overload (convenient,
-// builds a partition internally), a GroupPartition overload that runs
-// on a prebuilt bitmap partition, and a FromStats core that evaluates
-// the definition on already-computed per-group statistics. An audit
-// evaluating several metrics over the same rows builds one
-// GroupPartition and passes it to each, so the strings are grouped once
-// per run instead of once per metric; the chunked audit engine derives
-// one std::vector<GroupStats> from chunk-merged integer tallies
-// (GroupStatsFromCounts) and feeds the FromStats cores. All forms
-// produce identical reports — the first two route through the third.
+// Every metric has two forms: the MetricInput overload, which tallies
+// the rows (ComputeGroupStats) and hands the statistics on, and a
+// FromStats core that evaluates the definition on already-computed
+// per-group statistics. The chunked audit engine and the serve window
+// derive one std::vector<GroupStats> from chunk-merged integer tallies
+// (GroupStatsFromCounts) and feed the FromStats cores directly, so both
+// forms produce identical reports.
 
 /// §III-A Demographic parity: P(R=+ | A=a) equal across groups
 /// (equal-outcome family). Labels not required.
 FAIRLAW_NODISCARD Result<MetricReport> DemographicParity(const MetricInput& input,
-                                       double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> DemographicParity(const GroupPartition& partition,
                                        double tolerance = 0.0);
 FAIRLAW_NODISCARD Result<MetricReport> DemographicParityFromStats(
     std::vector<GroupStats> stats, double tolerance = 0.0);
@@ -35,16 +30,12 @@ FAIRLAW_NODISCARD Result<MetricReport> DemographicParityFromStats(
 /// (equal-treatment family). Requires labels.
 FAIRLAW_NODISCARD Result<MetricReport> EqualOpportunity(const MetricInput& input,
                                       double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> EqualOpportunity(const GroupPartition& partition,
-                                      double tolerance = 0.0);
 FAIRLAW_NODISCARD Result<MetricReport> EqualOpportunityFromStats(
     std::vector<GroupStats> stats, double tolerance = 0.0);
 
 /// §III-D Equalized odds: both TPR and FPR equal across groups. The
 /// reported gap is the worse of the two. Requires labels.
 FAIRLAW_NODISCARD Result<MetricReport> EqualizedOdds(const MetricInput& input,
-                                   double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> EqualizedOdds(const GroupPartition& partition,
                                    double tolerance = 0.0);
 FAIRLAW_NODISCARD Result<MetricReport> EqualizedOddsFromStats(
     std::vector<GroupStats> stats, double tolerance = 0.0);
@@ -54,7 +45,6 @@ FAIRLAW_NODISCARD Result<MetricReport> EqualizedOddsFromStats(
 /// The report is satisfied when every group passes; max_gap carries the
 /// largest shortfall below 1/2 (0 when satisfied). Labels not required.
 FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparity(const MetricInput& input);
-FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparity(const GroupPartition& partition);
 FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparityFromStats(
     std::vector<GroupStats> stats);
 
@@ -64,8 +54,6 @@ FAIRLAW_NODISCARD Result<MetricReport> DemographicDisparityFromStats(
 /// threshold. Labels not required.
 FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatio(const MetricInput& input,
                                           double threshold = 0.8);
-FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatio(const GroupPartition& partition,
-                                          double threshold = 0.8);
 FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatioFromStats(
     std::vector<GroupStats> stats, double threshold = 0.8);
 
@@ -73,16 +61,12 @@ FAIRLAW_NODISCARD Result<MetricReport> DisparateImpactRatioFromStats(
 /// groups. Requires labels.
 FAIRLAW_NODISCARD Result<MetricReport> PredictiveParity(const MetricInput& input,
                                       double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> PredictiveParity(const GroupPartition& partition,
-                                      double tolerance = 0.0);
 FAIRLAW_NODISCARD Result<MetricReport> PredictiveParityFromStats(
     std::vector<GroupStats> stats, double tolerance = 0.0);
 
 /// Overall accuracy equality: P(R=Y | A=a) equal across groups. Requires
 /// labels.
 FAIRLAW_NODISCARD Result<MetricReport> AccuracyEquality(const MetricInput& input,
-                                      double tolerance = 0.0);
-FAIRLAW_NODISCARD Result<MetricReport> AccuracyEquality(const GroupPartition& partition,
                                       double tolerance = 0.0);
 FAIRLAW_NODISCARD Result<MetricReport> AccuracyEqualityFromStats(
     std::vector<GroupStats> stats, double tolerance = 0.0);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/json_writer.h"
 #include "base/mutex.h"
 #include "base/string_util.h"
 #include "base/thread_annotations.h"
@@ -35,40 +36,6 @@ struct SpanStat {
   uint64_t count = 0;
   uint64_t total_ns = 0;
 };
-
-std::string JsonEscapeName(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -330,7 +297,7 @@ std::string Registry::ExportJson(const ExportOptions& options) {
   for (const CounterRow& row : counters) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"" + JsonEscapeName(row.name) +
+    out += "{\"name\":\"" + JsonEscape(row.name) +
            "\",\"value\":" + std::to_string(row.value) + "}";
   }
   out += "]";
@@ -342,7 +309,7 @@ std::string Registry::ExportJson(const ExportOptions& options) {
     for (const uint64_t bucket_count : row.buckets) total += bucket_count;
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"" + JsonEscapeName(row.name) +
+    out += "{\"name\":\"" + JsonEscape(row.name) +
            "\",\"count\":" + std::to_string(total) +
            ",\"sum\":" + std::to_string(row.sum) + ",\"buckets\":[";
     bool first_bucket = true;
@@ -363,7 +330,7 @@ std::string Registry::ExportJson(const ExportOptions& options) {
   for (const SpanRow& row : spans) {
     if (!first) out += ',';
     first = false;
-    out += "{\"path\":\"" + JsonEscapeName(row.path) +
+    out += "{\"path\":\"" + JsonEscape(row.path) +
            "\",\"count\":" + std::to_string(row.stat.count);
     if (options.include_timings) {
       out += ",\"total_ns\":" + std::to_string(row.stat.total_ns);

@@ -2,51 +2,61 @@
 
 namespace fairlaw::stats {
 
-size_t GroupCountsAccumulator::KeyIndex(std::string_view key) {
-  auto [it, inserted] = index_.try_emplace(std::string(key), keys_.size());
-  if (inserted) {
-    keys_.emplace_back(key);
-    counts_.emplace_back();
-  }
-  return it->second;
+size_t KeyDictionary::Insert(std::string_view key) {
+  if (auto it = index_.find(key); it != index_.end()) return it->second;
+  const size_t slot = keys_.size();
+  keys_.emplace_back(key);
+  index_.emplace(keys_.back(), slot);
+  return slot;
 }
 
-void GroupCountsAccumulator::Add(std::string_view key,
-                                 const GroupCounts& counts) {
-  counts_[KeyIndex(key)] += counts;
+size_t KeyDictionary::Find(std::string_view key) const {
+  auto it = index_.find(key);
+  return it == index_.end() ? keys_.size() : it->second;
+}
+
+size_t GroupCountsAccumulator::KeyIndex(std::string_view key) {
+  const size_t slot = keys_.Insert(key);
+  if (slot == counts_.size()) counts_.emplace_back();
+  return slot;
+}
+
+void GroupCountsAccumulator::AddRow(std::string_view key, int prediction,
+                                    int label) {
+  GroupCounts& slot = counts_[KeyIndex(key)];
+  slot.count += 1;
+  slot.positive_predictions += prediction;
+  slot.actual_positives += label;
+  slot.true_positives += prediction & label;
 }
 
 void GroupCountsAccumulator::MergeFrom(const GroupCountsAccumulator& other) {
-  for (size_t i = 0; i < other.keys_.size(); ++i) {
-    counts_[KeyIndex(other.keys_[i])] += other.counts_[i];
+  for (size_t i = 0; i < other.num_keys(); ++i) {
+    counts_[KeyIndex(other.keys()[i])] += other.counts_[i];
   }
 }
 
 GroupCountsAccumulator* StratifiedCountsAccumulator::Stratum(
     std::string_view stratum) {
-  auto [it, inserted] = index_.try_emplace(std::string(stratum), keys_.size());
-  if (inserted) {
-    keys_.emplace_back(stratum);
-    strata_.emplace_back();
-  }
-  return &strata_[it->second];
+  const size_t slot = keys_.Insert(stratum);
+  if (slot == strata_.size()) strata_.emplace_back();
+  return &strata_[slot];
 }
 
 void StratifiedCountsAccumulator::MergeFrom(
     const StratifiedCountsAccumulator& other) {
-  for (size_t i = 0; i < other.keys_.size(); ++i) {
-    Stratum(other.keys_[i])->MergeFrom(other.strata_[i]);
+  for (size_t i = 0; i < other.num_strata(); ++i) {
+    Stratum(other.keys()[i])->MergeFrom(other.strata_[i]);
   }
 }
 
 size_t GroupedSeries::KeyIndex(std::string_view key) {
-  auto [it, inserted] = index_.try_emplace(std::string(key), keys_.size());
-  if (inserted) {
-    keys_.emplace_back(key);
+  const size_t slot = keys_.Insert(key);
+  if (slot == values_.size()) {
     values_.emplace_back();
     tags_.emplace_back();
   }
-  return it->second;
+  return slot;
 }
 
 void GroupedSeries::Append(size_t key_index, double value, uint8_t tag) {
@@ -55,8 +65,8 @@ void GroupedSeries::Append(size_t key_index, double value, uint8_t tag) {
 }
 
 void GroupedSeries::MergeFrom(const GroupedSeries& other) {
-  for (size_t i = 0; i < other.keys_.size(); ++i) {
-    const size_t slot = KeyIndex(other.keys_[i]);
+  for (size_t i = 0; i < other.num_keys(); ++i) {
+    const size_t slot = KeyIndex(other.keys()[i]);
     values_[slot].insert(values_[slot].end(), other.values_[i].begin(),
                          other.values_[i].end());
     tags_[slot].insert(tags_[slot].end(), other.tags_[i].begin(),
@@ -65,17 +75,9 @@ void GroupedSeries::MergeFrom(const GroupedSeries& other) {
 }
 
 size_t GroupedSketches::KeyIndex(std::string_view key) {
-  auto [it, inserted] = index_.try_emplace(std::string(key), keys_.size());
-  if (inserted) {
-    keys_.emplace_back(key);
-    sketches_.emplace_back(options_);
-  }
-  return it->second;
-}
-
-size_t GroupedSketches::FindKey(std::string_view key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? keys_.size() : it->second;
+  const size_t slot = keys_.Insert(key);
+  if (slot == sketches_.size()) sketches_.emplace_back(options_);
+  return slot;
 }
 
 void GroupedSketches::Add(size_t key_index, double value) {
@@ -83,8 +85,8 @@ void GroupedSketches::Add(size_t key_index, double value) {
 }
 
 void GroupedSketches::MergeFrom(const GroupedSketches& other) {
-  for (size_t i = 0; i < other.keys_.size(); ++i) {
-    sketches_[KeyIndex(other.keys_[i])].Merge(other.sketches_[i]);
+  for (size_t i = 0; i < other.num_keys(); ++i) {
+    sketches_[KeyIndex(other.keys()[i])].Merge(other.sketches_[i]);
   }
 }
 

@@ -28,8 +28,8 @@ namespace fairlaw::stats {
 /// it is plain keyed arithmetic with no table or bitmap dependencies, and
 /// the planned `fairlaw_serve` sketches merge through the same interface.
 
-/// Exact integer tallies for one group. The four stored fields are the
-/// popcount outputs of the metric kernels; everything else a group metric
+/// Exact integer tallies for one group. The four stored fields are what
+/// GroupCountsAccumulator::AddRow counts; everything else a group metric
 /// needs (negatives, FP, rates) derives from them after the merge.
 struct GroupCounts {
   int64_t count = 0;
@@ -47,6 +47,27 @@ struct GroupCounts {
   friend bool operator==(const GroupCounts& a, const GroupCounts& b) = default;
 };
 
+/// First-seen-ordered key -> slot dictionary: the one ordering rule
+/// every accumulator below shares. A key's slot is the number of
+/// distinct keys inserted before it, so merging partials in chunk order
+/// places each key where the first row holding it appears.
+class KeyDictionary {
+ public:
+  /// Slot for `key`, appending it when absent. Looks the key up before
+  /// inserting, so a hit builds no std::string.
+  size_t Insert(std::string_view key);
+
+  /// Slot for `key`, or size() when absent.
+  size_t Find(std::string_view key) const;
+
+  size_t size() const { return keys_.size(); }
+  const std::vector<std::string>& keys() const { return keys_; }
+
+ private:
+  std::vector<std::string> keys_;
+  std::map<std::string, size_t, std::less<>> index_;
+};
+
 /// First-seen-ordered map from group key to GroupCounts, mergeable in
 /// chunk order.
 class GroupCountsAccumulator {
@@ -55,8 +76,16 @@ class GroupCountsAccumulator {
   /// the first-seen order) when absent.
   size_t KeyIndex(std::string_view key);
 
-  /// Adds `counts` into `key`'s slot.
-  void Add(std::string_view key, const GroupCounts& counts);
+  /// Read-only lookup: the slot index for `key`, or num_keys() when
+  /// absent.
+  size_t FindKey(std::string_view key) const { return keys_.Find(key); }
+
+  /// Tallies one row into `key`'s slot. This is the single row -> tally
+  /// step: the metric inputs, the audit's chunk fold and the serve
+  /// window all reduce rows through it. `prediction` and `label` are
+  /// 0/1; a row without a label, or a fold that keeps no label tallies,
+  /// passes label 0.
+  void AddRow(std::string_view key, int prediction, int label = 0);
 
   /// Folds `other` in: other's keys are appended in their first-seen
   /// order, existing keys accumulate. Calling MergeFrom over chunk
@@ -64,15 +93,14 @@ class GroupCountsAccumulator {
   void MergeFrom(const GroupCountsAccumulator& other);
 
   size_t num_keys() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
+  const std::vector<std::string>& keys() const { return keys_.keys(); }
   const GroupCounts& counts(size_t key_index) const {
     return counts_[key_index];
   }
 
  private:
-  std::vector<std::string> keys_;
+  KeyDictionary keys_;
   std::vector<GroupCounts> counts_;
-  std::map<std::string, size_t, std::less<>> index_;
 };
 
 /// Two-level accumulator: stratum -> per-group tallies, both levels in
@@ -84,18 +112,23 @@ class StratifiedCountsAccumulator {
   /// the end of the first-seen order) when absent.
   GroupCountsAccumulator* Stratum(std::string_view stratum);
 
+  /// Read-only lookup: the index of `stratum`, or num_strata() when
+  /// absent.
+  size_t FindKey(std::string_view stratum) const {
+    return keys_.Find(stratum);
+  }
+
   void MergeFrom(const StratifiedCountsAccumulator& other);
 
   size_t num_strata() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
+  const std::vector<std::string>& keys() const { return keys_.keys(); }
   const GroupCountsAccumulator& stratum(size_t index) const {
     return strata_[index];
   }
 
  private:
-  std::vector<std::string> keys_;
+  KeyDictionary keys_;
   std::vector<GroupCountsAccumulator> strata_;
-  std::map<std::string, size_t, std::less<>> index_;
 };
 
 /// Row-ordered per-key series: each key holds parallel (value, tag)
@@ -107,13 +140,17 @@ class GroupedSeries {
  public:
   size_t KeyIndex(std::string_view key);
 
+  /// Read-only lookup: the slot index for `key`, or num_keys() when
+  /// absent.
+  size_t FindKey(std::string_view key) const { return keys_.Find(key); }
+
   /// Appends one row to `key_index`'s series.
   void Append(size_t key_index, double value, uint8_t tag);
 
   void MergeFrom(const GroupedSeries& other);
 
   size_t num_keys() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
+  const std::vector<std::string>& keys() const { return keys_.keys(); }
   const std::vector<double>& values(size_t key_index) const {
     return values_[key_index];
   }
@@ -122,10 +159,9 @@ class GroupedSeries {
   }
 
  private:
-  std::vector<std::string> keys_;
+  KeyDictionary keys_;
   std::vector<std::vector<double>> values_;
   std::vector<std::vector<uint8_t>> tags_;
-  std::map<std::string, size_t, std::less<>> index_;
 };
 
 /// First-seen-ordered map from group key to a KLL quantile sketch — the
@@ -146,7 +182,7 @@ class GroupedSketches {
 
   /// Read-only lookup: the slot index for `key`, or num_keys() when
   /// absent (serve's window fold probes buckets without mutating them).
-  size_t FindKey(std::string_view key) const;
+  size_t FindKey(std::string_view key) const { return keys_.Find(key); }
 
   /// Adds one score into `key_index`'s sketch.
   void Add(size_t key_index, double value);
@@ -156,7 +192,7 @@ class GroupedSketches {
   void MergeFrom(const GroupedSketches& other);
 
   size_t num_keys() const { return keys_.size(); }
-  const std::vector<std::string>& keys() const { return keys_; }
+  const std::vector<std::string>& keys() const { return keys_.keys(); }
   const KllSketch& sketch(size_t key_index) const {
     return sketches_[key_index];
   }
@@ -170,14 +206,13 @@ class GroupedSketches {
   const KllSketch::Options& options() const { return options_; }
 
   friend bool operator==(const GroupedSketches& a, const GroupedSketches& b) {
-    return a.keys_ == b.keys_ && a.sketches_ == b.sketches_;
+    return a.keys() == b.keys() && a.sketches_ == b.sketches_;
   }
 
  private:
   KllSketch::Options options_;
-  std::vector<std::string> keys_;
+  KeyDictionary keys_;
   std::vector<KllSketch> sketches_;
-  std::map<std::string, size_t, std::less<>> index_;
 };
 
 }  // namespace fairlaw::stats

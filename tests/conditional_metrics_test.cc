@@ -159,6 +159,27 @@ TEST(ConditionalMetricsTest, AllStrataSkippedIsAnError) {
                    .ok());
 }
 
+TEST(ConditionalMetricsTest, NegativeToleranceRejectedWhenEveryStratumSkipped) {
+  MetricInput input;
+  std::vector<std::string> strata;
+  AddRows(&input, &strata, "male", "s", 1, 2);
+  AddRows(&input, &strata, "female", "s", 0, 2);
+  const std::string expected = "fairness metric: tolerance must be >= 0";
+  Result<ConditionalReport> rowwise = ConditionalStatisticalParity(
+      input, strata, -0.1, /*min_stratum_size=*/100);
+  ASSERT_FALSE(rowwise.ok());
+  EXPECT_EQ(rowwise.status().message(), expected);
+
+  stats::StratifiedCountsAccumulator counts;
+  counts.Stratum("s")->AddRow("male", 1);
+  counts.Stratum("s")->AddRow("female", 0);
+  Result<ConditionalReport> from_counts =
+      ConditionalStatisticalParityFromCounts(counts, -0.1,
+                                             /*min_stratum_size=*/100);
+  ASSERT_FALSE(from_counts.ok());
+  EXPECT_EQ(from_counts.status().message(), expected);
+}
+
 TEST(ConditionalMetricsTest, StrataLengthMismatchRejected) {
   MetricInput input;
   std::vector<std::string> strata;

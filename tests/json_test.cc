@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "base/json_writer.h"
 #include "core/json.h"
 #include "data/csv.h"
 #include "metrics/group_metrics.h"

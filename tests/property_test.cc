@@ -81,14 +81,9 @@ TEST_P(MetricPropertyTest, GroupRelabelingLeavesGapsInvariant) {
 TEST_P(MetricPropertyTest, GapBoundsAndRatioConsistency) {
   Rng rng(GetParam());
   MetricInput input = RandomInput(&rng, 300, rng.Uniform(0.0, 0.5));
-  // The metrics are overloaded on (MetricInput) and (GroupPartition), so
-  // spell out the function-pointer type to pick the MetricInput form.
-  using MetricFn = Result<metrics::MetricReport> (*)(
-      const metrics::MetricInput&, double);
-  for (MetricFn metric : {
-           static_cast<MetricFn>(&metrics::DemographicParity),
-           static_cast<MetricFn>(&metrics::EqualOpportunity)}) {
-    metrics::MetricReport report = (*metric)(input, 0.0).ValueOrDie();
+  for (auto* metric :
+       {&metrics::DemographicParity, &metrics::EqualOpportunity}) {
+    metrics::MetricReport report = metric(input, 0.0).ValueOrDie();
     EXPECT_GE(report.max_gap, 0.0);
     EXPECT_LE(report.max_gap, 1.0);
     EXPECT_GE(report.min_ratio, 0.0);

@@ -1,14 +1,16 @@
 // Unit tests for the shared analysis lexer (tools/analysis/lexer.h):
-// the token substrate under fairlaw_lint and fairlaw_detcheck. The
-// cases concentrate on the constructs that broke the old string-blanked
+// the token substrate under every fairlaw_check pass. The cases
+// concentrate on the constructs that broke the old string-blanked
 // scanner — raw strings with embedded quotes, splice-continued line
-// comments — plus the lookup helpers the rule code leans on.
+// comments — plus the lookup helpers the rule code leans on, and the
+// Reporter (tools/analysis/report.h) the passes publish through.
 #include "tools/analysis/lexer.h"
 
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tools/analysis/report.h"
 
 namespace fairlaw::analysis {
 namespace {
@@ -257,6 +259,31 @@ TEST(LexerTest, EveryStreamEndsWithEof) {
     ASSERT_FALSE(lex.tokens.empty());
     EXPECT_EQ(lex.tokens.back().kind, TokenKind::kEndOfFile);
   }
+}
+
+TEST(ReporterTest, MarkerMustNameTheReportingPass) {
+  const LexResult lex = Lex(
+      "int a = 1;  // detcheck: allow-discarded-status\n"
+      "int b = 2;  // flowcheck: allow-discarded-status\n");
+  Reporter reporter("fairlaw_check");
+  reporter.Report("flowcheck", "x.cc", lex.comments, 1, "discarded-status",
+                  "unsuppressed");
+  reporter.Report("flowcheck", "x.cc", lex.comments, 2, "discarded-status",
+                  "suppressed");
+  ASSERT_EQ(reporter.Sorted().size(), 1u);
+  EXPECT_EQ(reporter.Sorted()[0].line, 1u);
+  EXPECT_EQ(reporter.suppressed(), 1u);
+}
+
+TEST(ReporterTest, JsonEscapesControlBytes) {
+  Reporter reporter("fairlaw_check");
+  reporter.ReportAlways("dir\\x.h", 3, "layering", "a\tb\n\x01\"q\"");
+  reporter.Sorted();
+  EXPECT_EQ(reporter.Json(),
+            "{\"tool\":\"fairlaw_check\",\"schema_version\":1,\"findings\":"
+            "[{\"file\":\"dir\\\\x.h\",\"line\":3,\"rule\":\"layering\","
+            "\"message\":\"a\\tb\\n\\u0001\\\"q\\\"\"}],\"count\":1,"
+            "\"suppressed\":0}");
 }
 
 }  // namespace

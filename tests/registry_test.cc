@@ -45,7 +45,7 @@ TEST(RegistryTest, EntriesAreInvocable) {
 }
 
 TEST(RegistryTest, EveryRegisteredMetricIsPinnedByName) {
-  // fairlaw_lint requires each name registered in core/registry.cc to be
+  // The lint pass requires each name registered in core/registry.cc to be
   // referenced by a test; this test pins the full set, so adding a metric
   // without naming it in a test fails both lint and this expectation.
   const std::vector<std::string> expected = {

@@ -1,12 +1,12 @@
-// fairlaw_deps — layering / include-graph static analysis pass.
+// deps — layering / include-graph static analysis pass
+// (`fairlaw_check deps`).
 //
-//   fairlaw_deps [--root=DIR] [--json=PATH] [--dot=PATH] [--verbose]
-//
-// Second analysis pass next to fairlaw_lint: where lint checks local,
-// per-file invariants, deps checks the architecture. It parses every
-// #include in src/, tools/, tests/, bench/, and examples/, builds the
-// file- and module-level dependency graphs, and enforces the declared
-// layering DAG:
+// Where lint checks local, per-file invariants, deps checks the
+// architecture. It reads every #include directive in src/, tools/,
+// tests/, bench/, and examples/ off the shared token stream (an
+// #include inside a comment or string literal is not an edge; see
+// tools/deps_clean_fixture/), builds the file- and module-level
+// dependency graphs, and enforces the declared layering DAG:
 //
 //   rank 0  base                          (no dependencies)
 //   rank 1  stats
@@ -37,30 +37,27 @@
 //   5. transitive-include  IWYU-lite: a src/ file uses an identifier
 //                          that only a transitively included header
 //                          provides; the include should be direct.
+//   6. unknown-module      a file whose module is not in the DAG.
 //
-// --json / --dot write the module graph (nodes with ranks, edges with
-// include counts, every file-level edge) for review artifacts; the ctest
-// registration emits them into the build directory on every run so
-// architecture drift is visible per PR.
-//
-// Exit codes match fairlaw_lint: 0 = clean, 1 = violations (one per line
-// as file:line: rule: msg), 2 = usage or I/O error. Directories named
-// *_fixture are skipped: they hold deliberate violations for the
-// negative self-tests.
+// No rule has an allow marker: the IWYU pragmas are the only escapes.
+// The pass returns the module graph (nodes with ranks and file counts,
+// edges with include counts) as Graphviz DOT; `--dot` writes it, and
+// the ctest registration emits it into the build directory on every
+// run so architecture drift is visible per PR.
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "tools/cli.h"
+#include "tools/analysis/lexer.h"
+#include "tools/analysis/passes.h"
+#include "tools/analysis/report.h"
 
+namespace fairlaw::analysis {
 namespace {
 
 namespace fs = std::filesystem;
@@ -113,89 +110,6 @@ struct FileInfo {
   std::set<std::string> used_tokens;  // identifiers the file references
 };
 
-struct Violation {
-  std::string file;
-  size_t line = 0;
-  std::string rule;
-  std::string message;
-};
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-/// Blanks comment bodies and string/char literal contents, preserving
-/// newlines so byte offsets still map to the right line. Include-pragma
-/// comments are read from the raw text before this runs.
-std::string StripCommentsAndStrings(const std::string& text) {
-  std::string out = text;
-  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const char c = out[i];
-    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          out[i] = ' ';
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          out[i] = ' ';
-        } else if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        }
-        break;
-      case State::kLineComment:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          out[i] = ' ';
-          out[i + 1] = ' ';
-          ++i;
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-      case State::kChar: {
-        const char quote = state == State::kString ? '"' : '\'';
-        if (c == '\\' && next != '\0') {
-          out[i] = ' ';
-          if (next != '\n') out[i + 1] = ' ';
-          ++i;
-        } else if (c == quote) {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-size_t LineOfOffset(std::string_view text, size_t offset) {
-  size_t line = 1;
-  for (size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') ++line;
-  }
-  return line;
-}
-
 const std::set<std::string>& Keywords() {
   static const std::set<std::string> kKeywords = {
       "alignas",   "alignof",  "auto",     "bool",      "break",
@@ -215,27 +129,14 @@ const std::set<std::string>& Keywords() {
   return kKeywords;
 }
 
-/// Splits stripped text into identifier tokens with their offsets.
-std::vector<std::pair<std::string, size_t>> Tokenize(
-    const std::string& stripped) {
-  std::vector<std::pair<std::string, size_t>> tokens;
-  for (size_t i = 0; i < stripped.size();) {
-    if (IsIdentStart(stripped[i])) {
-      size_t begin = i;
-      while (i < stripped.size() && IsIdentChar(stripped[i])) ++i;
-      tokens.emplace_back(stripped.substr(begin, i - begin), begin);
-    } else {
-      ++i;
-    }
-  }
-  return tokens;
-}
-
-char NextCodeChar(const std::string& text, size_t from) {
-  for (size_t i = from; i < text.size(); ++i) {
-    if (!std::isspace(static_cast<unsigned char>(text[i]))) return text[i];
-  }
-  return '\0';
+/// The punctuator right after token `i` ('\0' when the next token is
+/// not one): the lookahead the provision scan keys on — '(' for call
+/// and declaration heads, '=' / ';' ending a using-declaration. The
+/// token stream ends in a kEndOfFile sentinel, so `i + 1` is in range
+/// for every identifier.
+char NextPunct(std::span<const Token> tokens, size_t i) {
+  const Token& next = tokens[i + 1];
+  return next.kind == TokenKind::kPunct ? next.text[0] : '\0';
 }
 
 /// Heuristic identifier-provision scan for a header. `declared` gets the
@@ -244,26 +145,25 @@ char NextCodeChar(const std::string& text, size_t from) {
 /// (identifier followed by '(') and constant-style names (kCamel /
 /// ALL_CAPS). The lenient set keeps unused-include conservative; the
 /// strict set keeps transitive-include precise.
-void ExtractProvided(const std::string& stripped,
+void ExtractProvided(std::span<const Token> tokens,
                      std::set<std::string>* provided,
                      std::set<std::string>* declared) {
-  const std::vector<std::pair<std::string, size_t>> tokens =
-      Tokenize(stripped);
-  for (size_t t = 0; t < tokens.size(); ++t) {
-    const std::string& tok = tokens[t].first;
-    const size_t end = tokens[t].second + tok.size();
-    const char next = NextCodeChar(stripped, end);
+  std::vector<size_t> idents;  // indices of the identifier tokens
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i].kind == TokenKind::kIdentifier) idents.push_back(i);
+  }
+  for (size_t t = 0; t < idents.size(); ++t) {
+    const std::string& tok = tokens[idents[t]].text;
+    const char next = NextPunct(tokens, idents[t]);
 
     if (tok == "class" || tok == "struct" || tok == "enum" ||
         tok == "union") {
       // The declared name is the first following identifier that is not a
       // macro invocation (an attribute macro like FAIRLAW_CAPABILITY(..)).
-      for (size_t j = t + 1; j < tokens.size() && j < t + 5; ++j) {
-        const std::string& cand = tokens[j].first;
+      for (size_t j = t + 1; j < idents.size() && j < t + 5; ++j) {
+        const std::string& cand = tokens[idents[j]].text;
         if (cand == "class" || Keywords().count(cand) > 0) continue;
-        const char after =
-            NextCodeChar(stripped, tokens[j].second + cand.size());
-        if (after == '(') continue;  // attribute macro, skip it
+        if (NextPunct(tokens, idents[j]) == '(') continue;  // attribute macro
         provided->insert(cand);
         declared->insert(cand);
         break;
@@ -272,15 +172,14 @@ void ExtractProvided(const std::string& stripped,
     }
     if (tok == "using") {
       // `using X = ...;`, `using ns::X;`; skip `using namespace ...;`.
-      if (t + 1 < tokens.size() && tokens[t + 1].first == "namespace") {
+      if (t + 1 < idents.size() &&
+          tokens[idents[t + 1]].text == "namespace") {
         continue;
       }
       std::string last;
-      for (size_t j = t + 1; j < tokens.size(); ++j) {
-        const std::string& cand = tokens[j].first;
-        const char after =
-            NextCodeChar(stripped, tokens[j].second + cand.size());
-        last = cand;
+      for (size_t j = t + 1; j < idents.size(); ++j) {
+        const char after = NextPunct(tokens, idents[j]);
+        last = tokens[idents[j]].text;
         if (after == '=' || after == ';') break;
       }
       if (!last.empty()) {
@@ -309,119 +208,69 @@ void ExtractProvided(const std::string& stripped,
     }
     if (all_caps) provided->insert(tok);
   }
-  // #define NAME — scan directive lines (include guards excluded).
-  size_t pos = 0;
-  while ((pos = stripped.find("#define", pos)) != std::string::npos) {
-    size_t i = pos + 7;
-    while (i < stripped.size() &&
-           std::isspace(static_cast<unsigned char>(stripped[i])) &&
-           stripped[i] != '\n') {
-      ++i;
-    }
-    size_t begin = i;
-    while (i < stripped.size() && IsIdentChar(stripped[i])) ++i;
-    std::string name = stripped.substr(begin, i - begin);
-    if (!name.empty() && name.rfind("_H_") != name.size() - 3) {
-      provided->insert(name);
-      declared->insert(name);
-    }
-    pos = i;
-  }
-}
-
-/// Identifier tokens a file references, excluding #include directive
-/// lines (their contents are paths, not code).
-std::set<std::string> ExtractUsedTokens(const std::string& stripped) {
-  std::set<std::string> used;
-  std::istringstream lines(stripped);
-  std::string line;
-  while (std::getline(lines, line)) {
-    size_t first = line.find_first_not_of(" \t");
-    if (first != std::string::npos &&
-        line.compare(first, 8, "#include") == 0) {
+  // #define NAME on one directive line (include guards excluded).
+  for (size_t i = 0; i + 2 < tokens.size(); ++i) {
+    if (!tokens[i].IsPunct("#") || !tokens[i + 1].IsIdent("define")) continue;
+    const Token& name = tokens[i + 2];
+    if (name.kind != TokenKind::kIdentifier || name.line != tokens[i].line) {
       continue;
     }
-    for (size_t i = 0; i < line.size();) {
-      if (IsIdentStart(line[i])) {
-        size_t begin = i;
-        while (i < line.size() && IsIdentChar(line[i])) ++i;
-        used.insert(line.substr(begin, i - begin));
-      } else {
-        ++i;
-      }
+    if (name.text.rfind("_H_") != name.text.size() - 3) {
+      provided->insert(name.text);
+      declared->insert(name.text);
     }
   }
-  return used;
 }
 
 class DepsAnalyzer {
  public:
-  explicit DepsAnalyzer(fs::path root) : root_(std::move(root)) {}
+  DepsAnalyzer(const fs::path& root, Reporter* reporter)
+      : root_(root), reporter_(*reporter) {}
 
-  bool Scan() {
-    bool found_any = false;
-    for (const char* top : {"src", "tools", "tests", "bench", "examples"}) {
-      const fs::path dir = root_ / top;
-      if (!fs::is_directory(dir)) continue;
-      found_any = true;
-      for (fs::recursive_directory_iterator it(dir), end; it != end; ++it) {
-        if (it->is_directory() &&
-            it->path().filename().string().ends_with("_fixture")) {
-          it.disable_recursion_pending();  // deliberate-violation trees
-          continue;
-        }
-        if (!it->is_regular_file()) continue;
-        const std::string ext = it->path().extension().string();
-        if (ext != ".h" && ext != ".cc" && ext != ".cpp") continue;
-        LoadFile(it->path());
-      }
-    }
-    if (!found_any) {
-      std::fprintf(stderr, "fairlaw_deps: no src/tools/tests under '%s'\n",
-                   root_.string().c_str());
-      return false;
-    }
-    return true;
-  }
-
-  void Analyze() {
+  void CheckTree(const SourceTree& tree) {
+    for (const SourceFile& file : tree.files) LoadFile(file);
     CheckLayeringAndBuildGraphs();
     CheckFileCycles();
     CheckModuleCycles();
     CheckUnusedIncludes();
     CheckTransitiveUse();
-    std::sort(violations_.begin(), violations_.end(),
-              [](const Violation& a, const Violation& b) {
-                return std::tie(a.file, a.line, a.rule) <
-                       std::tie(b.file, b.line, b.rule);
-              });
   }
 
-  const std::vector<Violation>& violations() const { return violations_; }
-
-  std::string GraphJson() const;
   std::string GraphDot() const;
 
  private:
-  void LoadFile(const fs::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string raw = buffer.str();
-
+  /// Records one file's project includes, referenced identifiers and
+  /// (for headers) provided identifiers, all off the shared token
+  /// stream.
+  void LoadFile(const SourceFile& file) {
     FileInfo info;
-    std::error_code ec;
-    info.rel = fs::relative(path, root_, ec).generic_string();
-    if (ec) info.rel = path.generic_string();
+    info.rel = file.rel;
     info.module = ModuleOf(info.rel);
-    info.is_header = path.extension() == ".h";
+    info.is_header = file.path.extension() == ".h";
 
-    const std::string stripped = StripCommentsAndStrings(raw);
-    ParseIncludes(raw, &info);
-    if (info.is_header) {
-      ExtractProvided(stripped, &info.provided, &info.declared);
+    const std::span<const Token> tokens(file.lex.tokens);
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const Token& token = tokens[i];
+      if (token.IsPunct("#") && tokens[i + 1].IsIdent("include") &&
+          tokens[i + 1].line == token.line) {
+        const Token& target = tokens[i + 2];
+        if (target.kind == TokenKind::kString && target.line == token.line) {
+          AddInclude(target.text, token.line, file.lex.comments, &info);
+        }
+        // The rest of the directive line is a path, not code.
+        while (tokens[i + 1].kind != TokenKind::kEndOfFile &&
+               tokens[i + 1].line == token.line) {
+          ++i;
+        }
+        continue;
+      }
+      if (token.kind == TokenKind::kIdentifier) {
+        info.used_tokens.insert(token.text);
+      }
     }
-    info.used_tokens = ExtractUsedTokens(stripped);
+    if (info.is_header) {
+      ExtractProvided(tokens, &info.provided, &info.declared);
+    }
     files_.emplace(info.rel, std::move(info));
   }
 
@@ -435,47 +284,34 @@ class DepsAnalyzer {
     return slash == std::string::npos ? rel : rel.substr(0, slash);
   }
 
-  /// Parses `#include "..."` directives from the raw text (pragmas live
-  /// in trailing comments, so this runs pre-strip) and resolves them
-  /// against the include roots: src/ for library headers, the repo root
-  /// for anything else.
-  void ParseIncludes(const std::string& raw, FileInfo* info) {
-    size_t pos = 0;
-    while ((pos = raw.find("#include", pos)) != std::string::npos) {
-      const size_t line_end_off = raw.find('\n', pos);
-      const std::string line =
-          raw.substr(pos, (line_end_off == std::string::npos
-                               ? raw.size()
-                               : line_end_off) -
-                              pos);
-      const size_t line_no = LineOfOffset(raw, pos);
-      pos += 8;
-      const size_t open = line.find('"');
-      if (open == std::string::npos) continue;  // <system> include
-      const size_t close = line.find('"', open + 1);
-      if (close == std::string::npos) continue;
-      const std::string target = line.substr(open + 1, close - open - 1);
-
-      IncludeEdge edge;
-      edge.line = line_no;
-      edge.pragma_keep = line.find("IWYU pragma: keep") != std::string::npos;
-      edge.pragma_export =
-          line.find("IWYU pragma: export") != std::string::npos;
-      if (fs::is_regular_file(root_ / "src" / target)) {
-        edge.target = "src/" + target;
-      } else if (fs::is_regular_file(root_ / target)) {
-        edge.target = target;
-      } else {
-        continue;  // unresolvable (generated or external); not ours to judge
-      }
-      info->includes.push_back(std::move(edge));
+  /// Resolves one `#include "target"` on `line` against the include
+  /// roots — src/ for library headers, the repo root for anything else —
+  /// and reads its IWYU pragma from the comment on the same line.
+  void AddInclude(const std::string& target, size_t line,
+                  const std::vector<Comment>& comments, FileInfo* info) {
+    IncludeEdge edge;
+    edge.line = line;
+    for (const Comment& comment : comments) {
+      if (comment.line != line) continue;
+      edge.pragma_keep |=
+          comment.text.find("IWYU pragma: keep") != std::string::npos;
+      edge.pragma_export |=
+          comment.text.find("IWYU pragma: export") != std::string::npos;
     }
+    if (fs::is_regular_file(root_ / "src" / target)) {
+      edge.target = "src/" + target;
+    } else if (fs::is_regular_file(root_ / target)) {
+      edge.target = target;
+    } else {
+      return;  // unresolvable (generated or external); not ours to judge
+    }
+    info->includes.push_back(std::move(edge));
   }
 
   void Report(std::string file, size_t line, std::string rule,
               std::string message) {
-    violations_.push_back(Violation{std::move(file), line, std::move(rule),
-                                    std::move(message)});
+    reporter_.ReportAlways(std::move(file), line, std::move(rule),
+                           std::move(message));
   }
 
   /// Check 1 (+ unknown modules) and the module-level edge map.
@@ -486,7 +322,7 @@ class DepsAnalyzer {
         Report(rel, 1, "unknown-module",
                "module '" + info.module +
                    "' is not declared in the layering DAG; add it to "
-                   "kModules in tools/fairlaw_deps.cc and to DESIGN.md");
+                   "kModules in tools/analysis/deps.cc and to DESIGN.md");
         continue;
       }
       for (const IncludeEdge& edge : info.includes) {
@@ -725,66 +561,12 @@ class DepsAnalyzer {
     }
   }
 
-  fs::path root_;
+  const fs::path& root_;
+  Reporter& reporter_;
   std::map<std::string, FileInfo> files_;  // rel path -> info
   std::map<std::pair<std::string, std::string>, int> module_edges_;
   std::map<std::string, std::set<std::string>> provides_closure_;
-  std::vector<Violation> violations_;
 };
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string DepsAnalyzer::GraphJson() const {
-  std::map<std::string, int> file_counts;
-  for (const auto& [rel, info] : files_) file_counts[info.module] += 1;
-
-  std::string out = "{\n  \"modules\": [\n";
-  bool first = true;
-  for (const ModuleSpec& spec : kModules) {
-    if (file_counts.find(spec.name) == file_counts.end()) continue;
-    if (!first) out += ",\n";
-    first = false;
-    out += "    {\"name\": \"" + std::string(spec.name) +
-           "\", \"rank\": " + std::to_string(spec.rank) +
-           ", \"files\": " + std::to_string(file_counts[spec.name]) + "}";
-  }
-  out += "\n  ],\n  \"module_edges\": [\n";
-  first = true;
-  for (const auto& [edge, count] : module_edges_) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "    {\"from\": \"" + JsonEscape(edge.first) + "\", \"to\": \"" +
-           JsonEscape(edge.second) +
-           "\", \"includes\": " + std::to_string(count) + "}";
-  }
-  out += "\n  ],\n  \"file_edges\": [\n";
-  first = true;
-  for (const auto& [rel, info] : files_) {
-    for (const IncludeEdge& edge : info.includes) {
-      if (!first) out += ",\n";
-      first = false;
-      out += "    {\"from\": \"" + JsonEscape(rel) + "\", \"to\": \"" +
-             JsonEscape(edge.target) +
-             "\", \"line\": " + std::to_string(edge.line) + "}";
-    }
-  }
-  out += "\n  ],\n  \"violations\": " + std::to_string(violations_.size()) +
-         "\n}\n";
-  return out;
-}
 
 std::string DepsAnalyzer::GraphDot() const {
   std::string out = "digraph fairlaw_deps {\n";
@@ -818,75 +600,12 @@ std::string DepsAnalyzer::GraphDot() const {
   return out;
 }
 
-bool WriteFileOrComplain(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "fairlaw_deps: cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string root_flag = ".";
-  std::string json_path;
-  std::string dot_path;
-  bool verbose = false;
-  fairlaw::cli::FlagSet flags(
-      "fairlaw_deps", "",
-      "Layering / include-graph pass over the declared module DAG\n"
-      "(see the header of tools/fairlaw_deps.cc for the rule set).\n"
-      "exit codes: 0 clean, 1 violations, 2 usage or I/O error");
-  flags.Add("root", &root_flag, "tree to scan");
-  flags.Section("output");
-  flags.Add("json", &json_path, "write the module graph as JSON here");
-  flags.Add("dot", &dot_path, "write the module graph as Graphviz here");
-  flags.Add("verbose", &verbose, "print the violation count even when clean");
-  fairlaw::Result<fairlaw::cli::ParseResult> parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "fairlaw_deps: %s\n\n%s",
-                 parsed.status().message().c_str(), flags.Help().c_str());
-    return 2;
-  }
-  if (parsed->help) {
-    std::printf("%s", flags.Help().c_str());
-    return 0;
-  }
-  if (!parsed->positionals.empty()) {
-    std::fprintf(stderr, "fairlaw_deps: unexpected argument '%s'\n",
-                 parsed->positionals[0].c_str());
-    return 2;
-  }
-  fs::path root(root_flag);
-  if (!fs::is_directory(root)) {
-    std::fprintf(stderr, "fairlaw_deps: root '%s' is not a directory\n",
-                 root.string().c_str());
-    return 2;
-  }
-
-  DepsAnalyzer analyzer(root);
-  if (!analyzer.Scan()) return 2;
-  analyzer.Analyze();
-
-  if (!json_path.empty() &&
-      !WriteFileOrComplain(json_path, analyzer.GraphJson())) {
-    return 2;
-  }
-  if (!dot_path.empty() &&
-      !WriteFileOrComplain(dot_path, analyzer.GraphDot())) {
-    return 2;
-  }
-
-  for (const Violation& v : analyzer.violations()) {
-    std::fprintf(stderr, "%s:%zu: %s: %s\n", v.file.c_str(), v.line,
-                 v.rule.c_str(), v.message.c_str());
-  }
-  if (verbose || !analyzer.violations().empty()) {
-    std::fprintf(stderr, "fairlaw_deps: %zu violation(s)\n",
-                 analyzer.violations().size());
-  }
-  return analyzer.violations().empty() ? 0 : 1;
+std::string RunDepsPass(const SourceTree& tree, Reporter* reporter) {
+  DepsAnalyzer analyzer(tree.root, reporter);
+  analyzer.CheckTree(tree);
+  return analyzer.GraphDot();
 }
+
+}  // namespace fairlaw::analysis

@@ -1,13 +1,11 @@
-// fairlaw_detcheck — determinism and lock-discipline static analysis.
+// detcheck — determinism and lock-discipline static analysis
+// (`fairlaw_check detcheck`, over src/ and tools/).
 //
-//   fairlaw_detcheck [--root=DIR] [--json=PATH] [--self-test=RULES]
-//                    [--verbose]
-//
-// Third analysis pass next to fairlaw_lint (local hygiene) and
-// fairlaw_deps (layering): it guards the repo's load-bearing guarantee
-// that audit findings, bootstrap CIs, and obs exports are byte-identical
-// for any thread/chunk configuration — the reproducibility bar that lets
-// a regulator treat an audit as evidence rather than a one-off run.
+// The pass next to lint (local hygiene) and deps (layering) that guards
+// the repo's load-bearing guarantee that audit findings, bootstrap CIs,
+// and obs exports are byte-identical for any thread/chunk configuration
+// — the reproducibility bar that lets a regulator treat an audit as
+// evidence rather than a one-off run.
 // Every rule rejects a construct that can silently leak scheduling,
 // hashing, or environment state into exported results. Built on the
 // shared token lexer (tools/analysis/lexer.h), so identifiers inside
@@ -60,43 +58,20 @@
 //        results in the last ulp; stats/ owns the fixed-order
 //        reduction helpers every exported number must flow through.
 //
-// Output: one `file:line: rule: message` diagnostic per finding on
-// stderr, plus a machine-readable findings artifact via --json in the
-// schema every analysis pass shares (tools/analysis/report.h:
-// {"tool":"fairlaw_detcheck","schema_version":1,"findings":[{file,line,
-// rule,message}],"count":N,"suppressed":N}; findings sorted by
-// file/line/rule, byte-identical for a given tree). --self-test=rule1,
-// rule2 exits 0 iff exactly that rule set fires (the fixture tests use
-// it to prove every rule detects its negative fixture). Directories
-// named *_fixture are skipped. Exit codes: 0 clean, 1 findings, 2 usage
-// or I/O error. Registered as a ctest test, so an unsuppressed finding
-// fails tier-1.
+// Directories named *_fixture are skipped by the shared walk; the
+// fixture tests run the pass with --self-test on them instead.
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "tools/analysis/lexer.h"
+#include "tools/analysis/passes.h"
 #include "tools/analysis/report.h"
-#include "tools/cli.h"
 
+namespace fairlaw::analysis {
 namespace {
-
-namespace fs = std::filesystem;
-using fairlaw::analysis::CollectSources;
-using fairlaw::analysis::Comment;
-using fairlaw::analysis::Lex;
-using fairlaw::analysis::LexResult;
-using fairlaw::analysis::MatchingClose;
-using fairlaw::analysis::ReadFileToString;
-using fairlaw::analysis::RelativeTo;
-using fairlaw::analysis::Reporter;
-using fairlaw::analysis::Token;
-using fairlaw::analysis::TokenKind;
-using fairlaw::analysis::TokenSeqAt;
 
 /// Trees whose iteration/merge order reaches exported results: audit
 /// findings, metric reports, stats CIs, obs exports, legal dossiers,
@@ -167,25 +142,18 @@ bool Contains(const std::string_view (&arr)[N], std::string_view value) {
 
 class DetChecker {
  public:
-  explicit DetChecker(fs::path root) : root_(std::move(root)) {}
+  explicit DetChecker(Reporter* reporter) : reporter_(*reporter) {}
 
-  /// Scans the tree and returns the pass's Reporter with findings in
-  /// canonical order. Scan order comes from CollectSources, so the
-  /// artifact is byte-identical for a given tree.
-  Reporter& Run() {
-    static constexpr std::string_view kTops[] = {"src", "tools"};
-    for (const fs::path& path : CollectSources(root_, kTops)) {
-      CheckFile(path);
+  /// Checks every .h/.cc file under src/ and tools/.
+  void CheckTree(const SourceTree& tree) {
+    for (const SourceFile& file : tree.files) {
+      if (file.top() != "src" && file.top() != "tools") continue;
+      CheckFile(file.rel, file.lex);
     }
-    reporter_.Sorted();
-    return reporter_;
   }
 
  private:
-  void CheckFile(const fs::path& path) {
-    const std::string text = ReadFileToString(path);
-    const std::string rel = RelativeTo(path, root_);
-    const LexResult lex = Lex(text);
+  void CheckFile(const std::string& rel, const LexResult& lex) {
     const std::span<const Token> tokens(lex.tokens);
 
     if (InTrees(rel, kOutputTrees)) {
@@ -206,8 +174,8 @@ class DetChecker {
   void Report(const std::string& rel, const std::vector<Comment>& comments,
               size_t line, std::string rule, std::string message,
               size_t anchor_line = 0) {
-    reporter_.Report(rel, comments, line, std::move(rule), std::move(message),
-                     anchor_line);
+    reporter_.Report("detcheck", rel, comments, line, std::move(rule),
+                     std::move(message), anchor_line);
   }
 
   /// Names declared with type std::unordered_map<...> or
@@ -552,56 +520,13 @@ class DetChecker {
     }
   }
 
-  fs::path root_;
-  Reporter reporter_{"fairlaw_detcheck", "detcheck"};
+  Reporter& reporter_;
 };
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string root_flag = ".";
-  std::string json_path;
-  std::string self_test;
-  bool verbose = false;
-  fairlaw::cli::FlagSet flags(
-      "fairlaw_detcheck", "",
-      "Determinism / lock-discipline static analysis for the parallel\n"
-      "audit stack (see the header of tools/fairlaw_detcheck.cc for the\n"
-      "rule set and the `detcheck: allow-<rule>` escape convention).\n"
-      "exit codes: 0 clean, 1 findings, 2 usage or I/O error");
-  flags.Add("root", &root_flag, "tree to scan");
-  flags.Section("output");
-  flags.Add("json", &json_path, "write the findings artifact to this path");
-  flags.Add("self-test", &self_test,
-            "comma-separated rule names; exit 0 iff exactly these rules "
-            "produce findings (fixture tests)");
-  flags.Add("verbose", &verbose, "print the finding count even when clean");
-  fairlaw::Result<fairlaw::cli::ParseResult> parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "fairlaw_detcheck: %s\n\n%s",
-                 parsed.status().message().c_str(), flags.Help().c_str());
-    return 2;
-  }
-  if (parsed->help) {
-    std::printf("%s", flags.Help().c_str());
-    return 0;
-  }
-  if (!parsed->positionals.empty()) {
-    std::fprintf(stderr, "fairlaw_detcheck: unexpected argument '%s'\n",
-                 parsed->positionals[0].c_str());
-    return 2;
-  }
-  const fs::path root(root_flag);
-  if (!fs::is_directory(root)) {
-    std::fprintf(stderr, "fairlaw_detcheck: root '%s' is not a directory\n",
-                 root.string().c_str());
-    return 2;
-  }
-
-  DetChecker checker(root);
-  Reporter& reporter = checker.Run();
-  reporter.PrintFindings(verbose);
-  if (!json_path.empty() && !reporter.WriteArtifact(json_path)) return 2;
-  if (!self_test.empty()) return reporter.SelfTestMatches(self_test) ? 0 : 1;
-  return reporter.Sorted().empty() ? 0 : 1;
+void RunDetcheckPass(const SourceTree& tree, Reporter* reporter) {
+  DetChecker(reporter).CheckTree(tree);
 }
+
+}  // namespace fairlaw::analysis

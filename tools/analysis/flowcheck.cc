@@ -1,15 +1,12 @@
-// fairlaw_flowcheck — cross-file Status-discipline static analysis.
+// flowcheck — cross-file Status-discipline static analysis
+// (`fairlaw_check flowcheck`).
 //
-//   fairlaw_flowcheck [--root=DIR] [--json=PATH] [--self-test=RULES]
-//                     [--verbose]
-//
-// Fourth analysis pass next to fairlaw_lint (local hygiene),
-// fairlaw_deps (layering), and fairlaw_detcheck (determinism), and the
-// first with cross-file knowledge: it builds a signature index of every
-// Status/Result<T>-returning function declared in src/** headers
-// (tools/analysis/index.h), then walks every .cc file under src/ and
-// tools/ with a brace-matching, scope-aware pass that proves errors
-// actually flow somewhere. The repo's contract (base/status.h: every
+// The pass next to lint (local hygiene), deps (layering), and detcheck
+// (determinism) with cross-file knowledge: it builds a signature index
+// of every Status/Result<T>-returning function declared in src/**
+// headers (tools/analysis/index.h), then walks every .cc file under
+// src/ and tools/ with a brace-matching, scope-aware pass that proves
+// errors actually flow somewhere. The repo's contract (base/status.h: every
 // fallible operation returns a Status) is worthless if a caller can
 // silently drop the return — in an unattended fairlaw_serve daemon a
 // dropped Status is a wrong four-fifths verdict, not a crashed CLI.
@@ -47,47 +44,20 @@
 //        These macros compile out under NDEBUG, so the side effect —
 //        including the fallible operation itself — vanishes from
 //        release builds.
-//
-// Output: one `file:line: rule: message` diagnostic per finding on
-// stderr, plus the canonical artifact via --json (schema
-// {"tool":"fairlaw_flowcheck","schema_version":1,findings:[...],
-// count,suppressed}; findings sorted by file/line/rule, byte-identical
-// for a given tree — the same schema fairlaw_lint and fairlaw_detcheck
-// emit via tools/analysis/report.h). --self-test=rule1,rule2 exits 0
-// iff exactly that rule set fires. Directories named *_fixture are
-// skipped. Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
-// Registered as a ctest test, so an unsuppressed finding fails tier-1.
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <map>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "tools/analysis/index.h"
 #include "tools/analysis/lexer.h"
+#include "tools/analysis/passes.h"
 #include "tools/analysis/report.h"
-#include "tools/cli.h"
 
+namespace fairlaw::analysis {
 namespace {
-
-namespace fs = std::filesystem;
-using fairlaw::analysis::BuildIndex;
-using fairlaw::analysis::CollectSources;
-using fairlaw::analysis::Comment;
-using fairlaw::analysis::FallibleFn;
-using fairlaw::analysis::Lex;
-using fairlaw::analysis::LexResult;
-using fairlaw::analysis::MatchingClose;
-using fairlaw::analysis::ReadFileToString;
-using fairlaw::analysis::RelativeTo;
-using fairlaw::analysis::Reporter;
-using fairlaw::analysis::SignatureIndex;
-using fairlaw::analysis::Token;
-using fairlaw::analysis::TokenKind;
 
 /// Half-open token range of a worker lambda's body: (body_open,
 /// body_close) exclusive of both braces.
@@ -98,26 +68,22 @@ struct WorkerBody {
 
 class FlowChecker {
  public:
-  explicit FlowChecker(fs::path root)
-      : root_(std::move(root)), reporter_("fairlaw_flowcheck", "flowcheck") {}
+  explicit FlowChecker(Reporter* reporter) : reporter_(*reporter) {}
 
-  Reporter& reporter() { return reporter_; }
-
-  void Run() {
+  void CheckTree(const SourceTree& tree) {
     // Pass 1: headers. Build the cross-file signature index and check
     // the nodiscard sweep (rule 4) while each header's comments are at
     // hand.
-    constexpr std::string_view kHeaderTops[] = {"src"};
-    for (const fs::path& path : CollectSources(root_, kHeaderTops)) {
-      if (path.extension() != ".h") continue;
-      const std::string rel = RelativeTo(path, root_);
-      const LexResult lex = Lex(ReadFileToString(path));
+    for (const SourceFile& file : tree.files) {
+      if (file.top() != "src" || file.path.extension() != ".h") continue;
+      const std::string& rel = file.rel;
+      const LexResult& lex = file.lex;
       const size_t before = index_.functions().size();
       index_.AddHeader(rel, lex.tokens);
       for (size_t i = before; i < index_.functions().size(); ++i) {
         const FallibleFn& fn = index_.functions()[i];
         if (fn.has_nodiscard) continue;
-        reporter_.Report(
+        Report(
             rel, lex.comments, fn.line, "nodiscard-missing",
             "'" + fn.qualified + "' returns " + fn.return_type +
                 " but is not declared FAIRLAW_NODISCARD: without it the "
@@ -127,14 +93,21 @@ class FlowChecker {
 
     // Pass 2: implementation files. The scope-aware error-flow rules
     // run over every .cc under src/ and tools/ against the index.
-    constexpr std::string_view kImplTops[] = {"src", "tools"};
-    for (const fs::path& path : CollectSources(root_, kImplTops)) {
-      if (path.extension() != ".cc") continue;
-      CheckImplFile(RelativeTo(path, root_), ReadFileToString(path));
+    for (const SourceFile& file : tree.files) {
+      if (file.top() != "src" && file.top() != "tools") continue;
+      if (file.path.extension() != ".cc") continue;
+      CheckImplFile(file.rel, file.lex);
     }
   }
 
  private:
+  /// Every flowcheck finding honors a `flowcheck: allow-<rule>` marker.
+  void Report(const std::string& rel, const std::vector<Comment>& comments,
+              size_t line, std::string rule, std::string message) {
+    reporter_.Report("flowcheck", rel, comments, line, std::move(rule),
+                     std::move(message));
+  }
+
   // -- Token-stream helpers. -----------------------------------------------
 
   /// True when tokens[i] begins a statement: after ';', '{', '}',
@@ -265,8 +238,7 @@ class FlowChecker {
 
   // -- Per-file driver. ----------------------------------------------------
 
-  void CheckImplFile(const std::string& rel, const std::string& text) {
-    const LexResult lex = Lex(text);
+  void CheckImplFile(const std::string& rel, const LexResult& lex) {
     const std::span<const Token> tokens(lex.tokens);
     const std::map<size_t, size_t> open_of_close = CloseToOpen(tokens);
     const std::vector<WorkerBody> workers = FindWorkerBodies(tokens);
@@ -299,7 +271,7 @@ class FlowChecker {
       if (close + 1 >= tokens.size() || !tokens[close + 1].IsPunct(";")) {
         continue;  // result is consumed (member access, operator, ...)
       }
-      reporter_.Report(
+      Report(
           rel, comments, tokens[callee].line, "discarded-status",
           "call to fallible '" + tokens[callee].text +
               "' discards its Status/Result: assign and check it, wrap it "
@@ -335,7 +307,7 @@ class FlowChecker {
 
     auto report_access = [&](const std::string& name, size_t line,
                              const char* how) {
-      reporter_.Report(
+      Report(
           rel, comments, line, "unchecked-result",
           std::string("Result '") + name + "' is accessed via " + how +
               " with no prior '" + name +
@@ -373,7 +345,7 @@ class FlowChecker {
             (tokens[close + 2].IsIdent("ValueOrDie") ||
              tokens[close + 2].IsIdent("value"));
         if (arrow_deref || dot_die) {
-          reporter_.Report(
+          Report(
               rel, comments, tokens[close + 1].line, "unchecked-result",
               "result of fallible '" + token.text +
                   "' is dereferenced in the same expression: no ok() "
@@ -477,7 +449,7 @@ class FlowChecker {
               index_.IsFallible(tokens[callee].text)) {
             const size_t close = MatchingClose(tokens, callee + 1);
             if (close + 1 < tokens.size() && tokens[close + 1].IsPunct(";")) {
-              reporter_.Report(
+              Report(
                   rel, comments, tokens[callee].line, "status-in-task",
                   "fallible '" + tokens[callee].text +
                       "' called inside a Submit/ParallelFor task with its "
@@ -503,7 +475,7 @@ class FlowChecker {
             }
           }
           if (!read_later) {
-            reporter_.Report(
+            Report(
                 rel, comments, tokens[i + 1].line, "status-in-task",
                 "Status '" + name +
                     "' produced inside a Submit/ParallelFor task is never "
@@ -549,7 +521,7 @@ class FlowChecker {
           what = "call to fallible '" + tokens[j].text + "'";
         }
         if (!mutating) continue;
-        reporter_.Report(
+        Report(
             rel, comments, tokens[j].line, "dcheck-side-effect",
             what + " inside " + tokens[i].text +
                 ": the macro compiles out under NDEBUG, so this side "
@@ -560,66 +532,14 @@ class FlowChecker {
     }
   }
 
-  fs::path root_;
   SignatureIndex index_;
-  Reporter reporter_;
+  Reporter& reporter_;
 };
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string root_flag = ".";
-  std::string json_path;
-  std::string self_test;
-  bool verbose = false;
-  fairlaw::cli::FlagSet flags(
-      "fairlaw_flowcheck", "",
-      "Cross-file Status-discipline static analysis: signature index of\n"
-      "every fallible function in src/** headers plus scope-aware\n"
-      "error-flow rules over .cc files (see the header of\n"
-      "tools/fairlaw_flowcheck.cc for the rule set and the\n"
-      "`flowcheck: allow-<rule>` escape convention).\n"
-      "exit codes: 0 clean, 1 findings, 2 usage or I/O error");
-  flags.Add("root", &root_flag, "tree to scan");
-  flags.Section("output");
-  flags.Add("json", &json_path, "write the findings artifact to this path");
-  flags.Add("self-test", &self_test,
-            "comma-separated rule names; exit 0 iff exactly these rules "
-            "produce findings (fixture tests)");
-  flags.Add("verbose", &verbose, "print the finding count even when clean");
-  fairlaw::Result<fairlaw::cli::ParseResult> parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "fairlaw_flowcheck: %s\n\n%s",
-                 parsed.status().message().c_str(), flags.Help().c_str());
-    return 2;
-  }
-  if (parsed->help) {
-    std::printf("%s", flags.Help().c_str());
-    return 0;
-  }
-  if (!parsed->positionals.empty()) {
-    std::fprintf(stderr, "fairlaw_flowcheck: unexpected argument '%s'\n",
-                 parsed->positionals[0].c_str());
-    return 2;
-  }
-  const fs::path root(root_flag);
-  if (!fs::is_directory(root)) {
-    std::fprintf(stderr, "fairlaw_flowcheck: root '%s' is not a directory\n",
-                 root.string().c_str());
-    return 2;
-  }
-
-  FlowChecker checker(root);
-  // flowcheck: allow-discarded-status (FlowChecker::Run returns void; the name-keyed index collides with the fallible audit::Auditor::Run)
-  checker.Run();
-  checker.reporter().Sorted();
-  checker.reporter().PrintFindings(verbose);
-
-  if (!json_path.empty() && !checker.reporter().WriteArtifact(json_path)) {
-    return 2;
-  }
-  if (!self_test.empty()) {
-    return checker.reporter().SelfTestMatches(self_test) ? 0 : 1;
-  }
-  return checker.reporter().FiredRules().empty() ? 0 : 1;
+void RunFlowcheckPass(const SourceTree& tree, Reporter* reporter) {
+  FlowChecker(reporter).CheckTree(tree);
 }
+
+}  // namespace fairlaw::analysis

@@ -2,7 +2,6 @@
 #define FAIRLAW_TOOLS_ANALYSIS_INDEX_H_
 
 #include <cstddef>
-#include <filesystem>
 #include <set>
 #include <span>
 #include <string>
@@ -75,10 +74,6 @@ class SignatureIndex {
   std::vector<FallibleFn> functions_;
   std::set<std::string> by_value_names_;
 };
-
-/// Builds the index over every header under root/src/** (fixture
-/// directories skipped), in sorted path order.
-SignatureIndex BuildIndex(const std::filesystem::path& root);
 
 }  // namespace fairlaw::analysis
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 /// fairlaw::analysis — the shared token substrate of the static
-/// analysis passes (fairlaw_lint, fairlaw_detcheck).
+/// analysis passes (every pass of tools/fairlaw_check.cc).
 ///
 /// The original passes scanned a comment/string-blanked copy of each
 /// file, which misread two constructs the real compiler handles in

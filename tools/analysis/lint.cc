@@ -1,10 +1,8 @@
-// fairlaw_lint — project-invariant static analysis pass.
+// lint — project-invariant static analysis pass (`fairlaw_check lint`).
 //
-//   fairlaw_lint [--root=DIR] [--json=PATH] [--verbose]
-//
-// Walks src/, tools/, and tests/ under --root (default: current
-// directory) and enforces the fairlaw project invariants that generic
-// compiler warnings cannot express:
+// Looks at src/ (as library code), tools/, tests/ and bench/ and
+// enforces the fairlaw project invariants that generic compiler
+// warnings cannot express:
 //
 //   1. include-guard   every header uses the canonical
 //                      FAIRLAW_<DIR>_<FILE>_H_ guard derived from its path
@@ -50,19 +48,12 @@
 //
 // Rules 2, 3, 5, 6, and 7 run over the token stream produced by the
 // shared analysis lexer (tools/analysis/lexer.h) — the same substrate
-// fairlaw_detcheck uses — so identifiers inside string literals,
-// comments, raw strings, and splice-continued comments never trip a
-// rule (the pre-lexer scanner false-positived on the last two; see
-// tools/lint_clean_fixture/). Directories named *_fixture are skipped:
-// they hold the deliberate violations the self-tests check. Exit code
-// 0 = clean, 1 = violations (listed one per line as
-// file:line: rule: msg), 2 = usage or I/O error. --json writes the
-// findings artifact in the schema every analysis pass shares
-// (tools/analysis/report.h). Registered as a ctest test so violations
-// fail tier-1.
+// every pass uses — so identifiers inside string literals, comments,
+// raw strings, and splice-continued comments never trip a rule (the
+// pre-lexer scanner false-positived on the last two; see
+// tools/lint_clean_fixture/).
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <span>
 #include <string>
@@ -70,78 +61,53 @@
 #include <vector>
 
 #include "tools/analysis/lexer.h"
+#include "tools/analysis/passes.h"
 #include "tools/analysis/report.h"
-#include "tools/cli.h"
 
+namespace fairlaw::analysis {
 namespace {
 
 namespace fs = std::filesystem;
-using fairlaw::analysis::Comment;
-using fairlaw::analysis::HasMarkerOnOrAbove;
-using fairlaw::analysis::Lex;
-using fairlaw::analysis::LexResult;
-using fairlaw::analysis::MatchingClose;
-using fairlaw::analysis::ReadFileToString;
-using fairlaw::analysis::RelativeTo;
-using fairlaw::analysis::Reporter;
-using fairlaw::analysis::Token;
-using fairlaw::analysis::TokenKind;
-using fairlaw::analysis::TokenSeqAt;
 
 class Linter {
  public:
-  explicit Linter(fs::path root) : root_(std::move(root)) {}
+  Linter(const SourceTree& tree, Reporter* reporter)
+      : tree_(tree), root_(tree.root), reporter_(*reporter) {}
 
-  /// Runs every rule; returns the pass's Reporter with findings in
-  /// canonical (file, line, rule) order.
-  Reporter& Run() {
+  /// Runs every rule over the lint scope of the tree.
+  void CheckTree() {
     const fs::path src = root_ / "src";
-    if (fs::is_directory(src)) {
-      ScanTree(src, /*library=*/true);
-    } else {
+    if (!fs::is_directory(src)) {
       Report(src.string(), 0, "tree", "missing src/ directory under root");
     }
-    // Tools, tests, and benchmarks get the same hygiene rules except the
-    // stdout ban: printing IS the product of a CLI tool.
-    for (const char* top : {"tools", "tests", "bench"}) {
-      const fs::path dir = root_ / top;
-      if (fs::is_directory(dir)) ScanTree(dir, /*library=*/false);
+    for (const SourceFile& file : tree_.files) {
+      // Tools, tests, and benchmarks get the same hygiene rules except
+      // the stdout ban: printing IS the product of a CLI tool.
+      const std::string_view top = file.top();
+      if (top != "src" && top != "tools" && top != "tests" &&
+          top != "bench") {
+        continue;
+      }
+      CheckFile(file, /*library=*/top == "src");
     }
     CheckRegistryCoverage();
-    reporter_.Sorted();
-    return reporter_;
   }
 
  private:
-  /// Applies the per-file rules to every source file under `dir`.
-  /// Directories named *_fixture hold deliberate violations for the
-  /// analysis-pass self-tests and are skipped.
-  void ScanTree(const fs::path& dir, bool library) {
-    for (fs::recursive_directory_iterator it(dir), end; it != end; ++it) {
-      if (it->is_directory() &&
-          it->path().filename().string().ends_with("_fixture")) {
-        it.disable_recursion_pending();
-        continue;
-      }
-      if (!it->is_regular_file()) continue;
-      const fs::path& path = it->path();
-      const std::string ext = path.extension().string();
-      if (ext == ".h") CheckIncludeGuard(path);
-      if (ext == ".h" || ext == ".cc") {
-        const LexResult lex = Lex(ReadFile(path));
-        const std::span<const Token> tokens(lex.tokens);
-        CheckBannedFunctions(path, tokens, library);
-        CheckMessagedChecks(path, tokens);
-        CheckThreadPrimitives(path, tokens);
-        CheckTimingSource(path, tokens);
-        CheckSimdConfinement(path, tokens);
-        CheckHotPath(path, tokens, lex.comments);
-      }
+  /// Applies the per-file rules to one source file.
+  void CheckFile(const SourceFile& file, bool library) {
+    const fs::path& path = file.path;
+    const std::string ext = path.extension().string();
+    if (ext == ".h") CheckIncludeGuard(path, file.text);
+    if (ext == ".h" || ext == ".cc") {
+      const std::span<const Token> tokens(file.lex.tokens);
+      CheckBannedFunctions(path, tokens, library);
+      CheckMessagedChecks(path, tokens);
+      CheckThreadPrimitives(path, tokens);
+      CheckTimingSource(path, tokens);
+      CheckSimdConfinement(path, tokens);
+      CheckHotPath(path, tokens, file.lex.comments);
     }
-  }
-
-  std::string ReadFile(const fs::path& path) {
-    return ReadFileToString(path);
   }
 
   std::string RelPath(const fs::path& path) {
@@ -169,7 +135,7 @@ class Linter {
   /// Rule 1: canonical include guards. src/metrics/group_metrics.h must
   /// guard with FAIRLAW_METRICS_GROUP_METRICS_H_; headers outside src/
   /// keep their top directory in the guard (tools/x.h -> FAIRLAW_TOOLS_X_H_).
-  void CheckIncludeGuard(const fs::path& path) {
+  void CheckIncludeGuard(const fs::path& path, const std::string& text) {
     std::error_code ec;
     fs::path rel = fs::relative(path, root_ / "src", ec);
     if (ec || rel.generic_string().rfind("../", 0) == 0) {
@@ -187,7 +153,6 @@ class Linter {
     }
     guard += "_";  // FAIRLAW_<DIR>_<FILE>_H -> ..._H_
 
-    const std::string text = ReadFile(path);
     const std::string ifndef_line = "#ifndef " + guard;
     const std::string define_line = "#define " + guard;
     if (text.find(ifndef_line) == std::string::npos ||
@@ -436,10 +401,19 @@ class Linter {
   /// Rule 4: every metric name registered in src/core/registry.cc must be
   /// referenced (as a quoted string) by at least one tests/*_test.cc.
   void CheckRegistryCoverage() {
-    const fs::path registry = root_ / "src" / "core" / "registry.cc";
-    const fs::path tests = root_ / "tests";
-    if (!fs::is_regular_file(registry) || !fs::is_directory(tests)) return;
-    const std::string text = ReadFile(registry);
+    if (!fs::is_directory(root_ / "tests")) return;
+    const std::string* registry = nullptr;
+    std::string corpus;
+    for (const SourceFile& file : tree_.files) {
+      const std::string_view rel = file.rel;
+      if (rel == "src/core/registry.cc") registry = &file.text;
+      if (rel.starts_with("tests/") && rel.find('/', 6) == rel.npos &&
+          rel.size() > 14 && rel.ends_with("_test.cc")) {
+        corpus += file.text;
+      }
+    }
+    if (registry == nullptr) return;
+    const std::string& text = *registry;
 
     std::vector<std::string> names;
     size_t pos = 0;
@@ -451,15 +425,6 @@ class Linter {
       pos = end + 1;
     }
 
-    std::string corpus;
-    for (const fs::directory_entry& entry : fs::directory_iterator(tests)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string filename = entry.path().filename().string();
-      if (filename.size() > 8 &&
-          filename.substr(filename.size() - 8) == "_test.cc") {
-        corpus += ReadFile(entry.path());
-      }
-    }
     for (const std::string& name : names) {
       if (corpus.find("\"" + name + "\"") == std::string::npos) {
         Report("src/core/registry.cc", LineOfOffset(text, text.find(name)),
@@ -470,50 +435,15 @@ class Linter {
     }
   }
 
-  fs::path root_;
-  Reporter reporter_{"fairlaw_lint", "lint"};
+  const SourceTree& tree_;
+  const fs::path& root_;
+  Reporter& reporter_;
 };
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string root_flag = ".";
-  std::string json_path;
-  bool verbose = false;
-  fairlaw::cli::FlagSet flags(
-      "fairlaw_lint", "",
-      "Static-analysis pass enforcing the fairlaw project invariants\n"
-      "(see the header of tools/fairlaw_lint.cc for the rule set).\n"
-      "exit codes: 0 clean, 1 violations, 2 usage or I/O error");
-  flags.Add("root", &root_flag, "tree to scan");
-  flags.Section("output");
-  flags.Add("json", &json_path, "write the findings artifact to this path");
-  flags.Add("verbose", &verbose, "print the violation count even when clean");
-  fairlaw::Result<fairlaw::cli::ParseResult> parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "fairlaw_lint: %s\n\n%s",
-                 parsed.status().message().c_str(), flags.Help().c_str());
-    return 2;
-  }
-  if (parsed->help) {
-    std::printf("%s", flags.Help().c_str());
-    return 0;
-  }
-  if (!parsed->positionals.empty()) {
-    std::fprintf(stderr, "fairlaw_lint: unexpected argument '%s'\n",
-                 parsed->positionals[0].c_str());
-    return 2;
-  }
-  fs::path root(root_flag);
-  if (!fs::is_directory(root)) {
-    std::fprintf(stderr, "fairlaw_lint: root '%s' is not a directory\n",
-                 root.string().c_str());
-    return 2;
-  }
-
-  Linter linter(root);
-  Reporter& reporter = linter.Run();
-  reporter.PrintFindings(verbose);
-  if (!json_path.empty() && !reporter.WriteArtifact(json_path)) return 2;
-  return reporter.Sorted().empty() ? 0 : 1;
+void RunLintPass(const SourceTree& tree, Reporter* reporter) {
+  Linter(tree, reporter).CheckTree();
 }
+
+}  // namespace fairlaw::analysis

@@ -6,29 +6,17 @@
 #include <sstream>
 #include <tuple>
 
+#include "base/json_writer.h"
+
 namespace fairlaw::analysis {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
-void Reporter::Report(const std::string& file,
+void Reporter::Report(std::string_view pass, const std::string& file,
                       const std::vector<Comment>& comments, size_t line,
                       std::string rule, std::string message,
                       size_t anchor_line) {
-  const std::string marker = marker_prefix_ + ": allow-" + rule;
+  const std::string marker = std::string(pass) + ": allow-" + rule;
   if (HasMarkerOnOrAbove(comments, marker, line) ||
       (anchor_line != 0 &&
        HasMarkerOnOrAbove(comments, marker, anchor_line))) {
@@ -47,16 +35,10 @@ void Reporter::ReportAlways(std::string file, size_t line, std::string rule,
 const std::vector<Finding>& Reporter::Sorted() {
   std::sort(findings_.begin(), findings_.end(),
             [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
+              return std::tie(a.file, a.line, a.rule, a.message) <
+                     std::tie(b.file, b.line, b.rule, b.message);
             });
   return findings_;
-}
-
-std::set<std::string> Reporter::FiredRules() const {
-  std::set<std::string> rules;
-  for (const Finding& finding : findings_) rules.insert(finding.rule);
-  return rules;
 }
 
 std::string Reporter::Json() const {
@@ -87,14 +69,7 @@ void Reporter::PrintFindings(bool verbose) const {
 }
 
 bool Reporter::WriteArtifact(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "%s: cannot write '%s'\n", tool_.c_str(),
-                 path.c_str());
-    return false;
-  }
-  out << Json() << "\n";
-  return true;
+  return WriteTextFile(tool_, path, Json() + "\n");
 }
 
 bool Reporter::SelfTestMatches(std::string_view spec) const {
@@ -106,7 +81,8 @@ bool Reporter::SelfTestMatches(std::string_view spec) const {
     if (comma == std::string_view::npos) break;
     rest.remove_prefix(comma + 1);
   }
-  const std::set<std::string> fired = FiredRules();
+  std::set<std::string> fired;
+  for (const Finding& finding : findings_) fired.insert(finding.rule);
   if (fired == expected) return true;
   std::fprintf(stderr,
                "%s: self-test mismatch: expected %zu rule(s), got %zu\n",
@@ -138,7 +114,9 @@ std::vector<fs::path> CollectSources(const fs::path& root,
       }
       if (!it->is_regular_file()) continue;
       const std::string ext = it->path().extension().string();
-      if (ext == ".h" || ext == ".cc") files.push_back(it->path());
+      if (ext == ".h" || ext == ".cc" || ext == ".cpp") {
+        files.push_back(it->path());
+      }
     }
   }
   std::sort(files.begin(), files.end());
@@ -150,6 +128,18 @@ std::string ReadFileToString(const fs::path& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+bool WriteTextFile(const std::string& tool, const std::string& path,
+                   std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", tool.c_str(),
+                 path.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::string RelativeTo(const fs::path& path, const fs::path& root) {

@@ -14,8 +14,8 @@
 ///
 /// Every check carries a message so that a crash in a deployed audit names
 /// the violated invariant, not just a stringified expression. The
-/// fairlaw_lint pass enforces this: a bare FAIRLAW_CHECK(cond) in library
-/// code is a lint violation; use FAIRLAW_CHECK_MSG.
+/// `fairlaw_check lint` pass enforces this: a bare FAIRLAW_CHECK(cond)
+/// in library code is a lint violation; use FAIRLAW_CHECK_MSG.
 
 namespace fairlaw::internal {
 
@@ -94,8 +94,8 @@ inline void CheckIndex(
 /// Debug-only OK-check: compiled out under NDEBUG, so `expr` is NOT
 /// evaluated in release builds. Only wrap pure queries whose failure
 /// would already be a bug; a fallible call with side effects inside
-/// this macro silently vanishes from production — fairlaw_flowcheck
-/// rule `dcheck-side-effect` rejects exactly that shape.
+/// this macro silently vanishes from production — `fairlaw_check
+/// flowcheck` rule `dcheck-side-effect` rejects exactly that shape.
 #ifdef NDEBUG
 #define FAIRLAW_DCHECK_OK(expr) \
   do {                          \

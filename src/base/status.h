@@ -8,10 +8,10 @@
 
 /// Marks a Status/Result<T>-returning declaration so the compiler warns
 /// when a caller drops the return value on the floor. Every fallible
-/// declaration in src/** headers must carry it — fairlaw_flowcheck rule
-/// `nodiscard-missing` enforces the sweep, and its `discarded-status`
-/// rule catches the call sites the compiler cannot see (macro bodies,
-/// cross-TU templates). Spelled as a macro rather than a bare attribute
+/// declaration in src/** headers must carry it — `fairlaw_check
+/// flowcheck` rule `nodiscard-missing` enforces the sweep, and its
+/// `discarded-status` rule catches the call sites the compiler cannot
+/// see (macro bodies, cross-TU templates). Spelled as a macro rather than a bare attribute
 /// so the analysis passes can match one canonical token.
 #define FAIRLAW_NODISCARD [[nodiscard]]
 

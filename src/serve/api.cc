@@ -1,7 +1,6 @@
 #include "serve/api.h"
 
 #include <cmath>
-#include <utility>
 
 namespace fairlaw::serve {
 
@@ -118,15 +117,15 @@ Status QueryRequest::Validate(const ServeConfig& config) const {
 
 namespace {
 
-Result<Event> ParseEvent(const JsonValue& doc) {
-  Event event;
+/// Decodes one event object into `event`, a default-constructed slot.
+Status ParseEvent(const JsonValue& doc, Event* event) {
   FAIRLAW_ASSIGN_OR_RETURN(const JsonValue* t, doc.Get("t"));
-  FAIRLAW_ASSIGN_OR_RETURN(event.t, t->AsInt64());
+  FAIRLAW_ASSIGN_OR_RETURN(event->t, t->AsInt64());
   FAIRLAW_ASSIGN_OR_RETURN(const JsonValue* group, doc.Get("group"));
-  FAIRLAW_ASSIGN_OR_RETURN(event.group, group->AsString());
+  FAIRLAW_ASSIGN_OR_RETURN(event->group, group->AsString());
   FAIRLAW_ASSIGN_OR_RETURN(const JsonValue* pred, doc.Get("pred"));
   FAIRLAW_ASSIGN_OR_RETURN(int64_t pred_value, pred->AsInt64());
-  event.pred = static_cast<int>(pred_value);
+  event->pred = static_cast<int>(pred_value);
   if (pred_value != 0 && pred_value != 1) {
     return Status::Invalid("event: pred must be 0 or 1");
   }
@@ -135,19 +134,19 @@ Result<Event> ParseEvent(const JsonValue& doc) {
     if (label_value != 0 && label_value != 1) {
       return Status::Invalid("event: label must be 0 or 1");
     }
-    event.label = static_cast<int>(label_value);
-    event.has_label = true;
+    event->label = static_cast<int>(label_value);
+    event->has_label = true;
   }
   if (const JsonValue* score = doc.GetOrNull("score"); score != nullptr) {
-    FAIRLAW_ASSIGN_OR_RETURN(event.score, score->AsDouble());
-    event.has_score = true;
+    FAIRLAW_ASSIGN_OR_RETURN(event->score, score->AsDouble());
+    event->has_score = true;
   }
   if (const JsonValue* stratum = doc.GetOrNull("stratum");
       stratum != nullptr) {
-    FAIRLAW_ASSIGN_OR_RETURN(event.stratum, stratum->AsString());
-    event.has_stratum = true;
+    FAIRLAW_ASSIGN_OR_RETURN(event->stratum, stratum->AsString());
+    event->has_stratum = true;
   }
-  return event;
+  return Status::OK();
 }
 
 }  // namespace
@@ -178,10 +177,10 @@ Result<Request> ParseRequest(const JsonValue& doc,
     if (!events->is_array()) {
       return Status::Invalid("ingest: 'events' must be an array");
     }
-    request.ingest.events.reserve(events->size());
+    request.ingest.events.resize(events->size());
     for (size_t i = 0; i < events->size(); ++i) {
-      FAIRLAW_ASSIGN_OR_RETURN(Event event, ParseEvent(events->at(i)));
-      request.ingest.events.push_back(std::move(event));
+      FAIRLAW_RETURN_NOT_OK(
+          ParseEvent(events->at(i), &request.ingest.events[i]));
     }
     return request;
   }

@@ -25,9 +25,13 @@ WindowRing::WindowRing(const ServeConfig& config)
 
 void WindowRing::Advance(int64_t bucket) {
   // Reset only the slots the new buckets claim: at most num_buckets_
-  // of them, however far the watermark jumps.
+  // of them, however far the watermark jumps. Counting slots rather
+  // than stepping an index past `bucket` keeps bucket == INT64_MAX
+  // from overflowing.
   const int64_t first = std::max(watermark_ + 1, bucket - num_buckets_ + 1);
-  for (int64_t index = first; index <= bucket; ++index) {
+  const int64_t claimed = bucket - first + 1;
+  for (int64_t i = 0; i < claimed; ++i) {
+    const int64_t index = first + i;
     Slot& slot = slots_[static_cast<size_t>(index % num_buckets_)];
     slot.bucket_index = index;
     slot.partial = audit::WindowedPartial(sketch_options_);
@@ -82,7 +86,9 @@ audit::WindowedPartial WindowRing::Window(ThreadPool* pool) const {
   // every mergeable accumulator's determinism contract requires.
   std::vector<const audit::WindowedPartial*> buckets;
   buckets.reserve(static_cast<size_t>(num_buckets_));
-  for (int64_t index = window_start(); index <= watermark_; ++index) {
+  const int64_t start = window_start();
+  for (int64_t i = 0; i <= watermark_ - start; ++i) {
+    const int64_t index = start + i;
     const Slot& slot = slots_[static_cast<size_t>(index % num_buckets_)];
     if (slot.bucket_index == index && slot.partial.num_rows > 0) {
       buckets.push_back(&slot.partial);

@@ -5,8 +5,10 @@
 // counts — plus the unified Auditor::Run entry over window sources.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -63,6 +65,132 @@ TEST(JsonValueTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(doc->at(1).AsInt64().ok());
   EXPECT_TRUE(doc->at(1).AsDouble().ok());
   EXPECT_FALSE(doc->at(2).AsInt64().ok());
+}
+
+TEST(JsonValueTest, DuplicateKeyLastValueWins) {
+  Result<JsonValue> doc =
+      JsonValue::Parse(R"({"a":1,"b":2,"a":{"x":3},"b":"s","a":4})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*(*doc->Get("a"))->AsInt64(), 4);
+  EXPECT_EQ(*(*doc->Get("b"))->AsString(), "s");
+  ASSERT_NE(doc->GetOrNull("a"), nullptr);
+  EXPECT_EQ(*doc->GetOrNull("a")->AsInt64(), 4);
+}
+
+/// `depth` nested arrays around one scalar: the scalar sits at depth
+/// `depth`, the outermost array at depth 0.
+std::string NestedArrays(int depth) {
+  return std::string(static_cast<size_t>(depth), '[') + "7" +
+         std::string(static_cast<size_t>(depth), ']');
+}
+
+TEST(JsonValueTest, NestingDepthCapIs32) {
+  Result<JsonValue> ok = JsonValue::Parse(NestedArrays(32));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  const JsonValue* node = &*ok;
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(node->is_array());
+    ASSERT_EQ(node->size(), 1u);
+    node = &node->at(0);
+  }
+  EXPECT_EQ(*node->AsInt64(), 7);
+
+  Result<JsonValue> deep = JsonValue::Parse(NestedArrays(33));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().message(), "json: nesting deeper than 32");
+
+  // Objects count toward the same cap.
+  std::string objects;
+  for (int i = 0; i < 33; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(33, '}');
+  EXPECT_FALSE(JsonValue::Parse(objects).ok());
+}
+
+TEST(JsonValueTest, UnicodeEscapesInKeysAndValues) {
+  Result<JsonValue> doc = JsonValue::Parse(
+      R"({"kéy":"vA€","\u0000":"a\u0000b","\/":"\b\f\t"})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*(*doc->Get("k\xc3\xa9y"))->AsString(), "vA\xe2\x82\xac");
+  EXPECT_EQ(*(*doc->Get(std::string_view("\0", 1)))->AsString(),
+            std::string("a\0b", 3));
+  EXPECT_EQ(*(*doc->Get("/"))->AsString(), "\b\f\t");
+  EXPECT_EQ(doc->GetOrNull("key"), nullptr);
+  EXPECT_FALSE(JsonValue::Parse(R"("\ud800")").ok());
+  EXPECT_FALSE(JsonValue::Parse(R"("\u12")").ok());
+  EXPECT_FALSE(JsonValue::Parse(R"("\u12g4")").ok());
+}
+
+TEST(JsonValueTest, EmptyContainersAndNestedArrays) {
+  Result<JsonValue> object = JsonValue::Parse(" {} ");
+  ASSERT_TRUE(object.ok());
+  EXPECT_TRUE(object->is_object());
+  EXPECT_EQ(object->size(), 0u);
+  EXPECT_EQ(object->Get("a").status().code(), StatusCode::kNotFound);
+
+  Result<JsonValue> array = JsonValue::Parse("[]");
+  ASSERT_TRUE(array.ok());
+  EXPECT_TRUE(array->is_array());
+  EXPECT_EQ(array->size(), 0u);
+
+  Result<JsonValue> nested =
+      JsonValue::Parse(R"([[1,2],[],[[3],{"a":[4,5,6]}],"s"])");
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  ASSERT_EQ(nested->size(), 4u);
+  ASSERT_EQ(nested->at(0).size(), 2u);
+  EXPECT_EQ(*nested->at(0).at(1).AsInt64(), 2);
+  EXPECT_TRUE(nested->at(1).is_array());
+  EXPECT_EQ(nested->at(1).size(), 0u);
+  EXPECT_EQ(*nested->at(2).at(0).at(0).AsInt64(), 3);
+  const JsonValue* inner = *nested->at(2).at(1).Get("a");
+  ASSERT_EQ(inner->size(), 3u);
+  EXPECT_EQ(*inner->at(2).AsInt64(), 6);
+  // size() of anything but an array is 0, objects included.
+  EXPECT_EQ(nested->at(2).at(1).size(), 0u);
+  EXPECT_EQ(nested->at(3).size(), 0u);
+  EXPECT_EQ(nested->at(0).at(0).size(), 0u);
+}
+
+TEST(JsonValueTest, NumbersBeyondInt64AreDoublesOnly) {
+  Result<JsonValue> doc = JsonValue::Parse(
+      "[9223372036854775807,-9223372036854775808,9223372036854775808,"
+      "123456789012345678901234567890,-0,0.5,1e400]");
+  // 1e400 overflows a double: the whole document is rejected.
+  ASSERT_FALSE(doc.ok());
+
+  doc = JsonValue::Parse(
+      "[9223372036854775807,-9223372036854775808,9223372036854775808,"
+      "123456789012345678901234567890,-0,4e-320,9007199254740993]");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*doc->at(0).AsInt64(), INT64_MAX);
+  EXPECT_EQ(*doc->at(0).AsDouble(), 9223372036854775808.0);
+  EXPECT_EQ(*doc->at(1).AsInt64(), INT64_MIN);
+  EXPECT_EQ(*doc->at(1).AsDouble(), -9223372036854775808.0);
+  EXPECT_EQ(doc->at(2).AsInt64().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(*doc->at(2).AsDouble(), 9223372036854775808.0);
+  EXPECT_FALSE(doc->at(3).AsInt64().ok());
+  EXPECT_EQ(*doc->at(3).AsDouble(), 1.2345678901234568e29);
+  // "-0" is the integer 0 but keeps the double's sign.
+  EXPECT_EQ(*doc->at(4).AsInt64(), 0);
+  EXPECT_TRUE(std::signbit(*doc->at(4).AsDouble()));
+  EXPECT_GT(*doc->at(5).AsDouble(), 0.0);
+  // 2^53 + 1 rounds to even, exactly as the decimal parser rounds it.
+  EXPECT_EQ(*doc->at(6).AsInt64(), 9007199254740993);
+  EXPECT_EQ(*doc->at(6).AsDouble(), 9007199254740992.0);
+}
+
+TEST(JsonValueTest, GetOnNonObjectIsInvalidMissingKeyIsNotFound) {
+  Result<JsonValue> doc = JsonValue::Parse(R"({"a":[1],"b":"s"})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->Get("zz").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(doc->Get("zz").status().message(), "json: missing field 'zz'");
+  const JsonValue* array = *doc->Get("a");
+  EXPECT_EQ(array->Get("a").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(array->Get("a").status().message(), "json: expected object");
+  EXPECT_EQ(array->GetOrNull("a"), nullptr);
+  EXPECT_EQ((*doc->Get("b"))->Get("a").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(array->AsString().status().message(), "json: expected string");
 }
 
 TEST(ServeApiTest, ConfigValidation) {
@@ -162,6 +290,28 @@ TEST(WindowRingTest, EventTimeWindowAndOldEventRejection) {
   // A jump far past the ring resets every slot.
   ASSERT_TRUE(ring.Ingest(MakeEvent(1000, "a", 1, 1, 0.9)).ok());
   EXPECT_EQ(ring.num_events(), 1u);
+}
+
+TEST(WindowRingTest, LargestTimestampAtWidthOneDoesNotOverflow) {
+  ServeConfig config;
+  config.bucket_width = 1;
+  config.num_buckets = 4;
+  ASSERT_TRUE(config.Validate().ok());
+  WindowRing ring(config);
+  ASSERT_TRUE(ring.Ingest(MakeEvent(5, "a", 1, 1, 0.5)).ok());
+
+  // The watermark jumps to the largest bucket there is: every slot is
+  // reset, and nothing past it is ever touched.
+  ASSERT_TRUE(ring.Ingest(MakeEvent(INT64_MAX, "a", 1, 0, 0.4)).ok());
+  EXPECT_EQ(ring.watermark(), INT64_MAX);
+  EXPECT_EQ(ring.window_start(), INT64_MAX - 3);
+  EXPECT_EQ(ring.num_events(), 1u);
+
+  Status normal = ring.Ingest(MakeEvent(10, "b", 0, 1, 0.6));
+  EXPECT_EQ(normal.code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(ring.Ingest(MakeEvent(INT64_MAX - 1, "b", 0, 1, 0.6)).ok());
+  EXPECT_EQ(ring.num_events(), 2u);
+  EXPECT_EQ(ring.Window(nullptr).num_rows, 2u);
 }
 
 TEST(WindowRingTest, WindowMergeIsThreadCountInvariant) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serve determinism smoke: replay one generated event stream at two
-# ingest batch sizes and several thread counts; every '"op":"query"'
-# response line must be byte-identical (ingest acks and stats dumps
-# legitimately vary and are filtered out). Driven by ctest
+# ingest batch sizes, several thread counts, and two stdin framings
+# (CRLF line endings; no final newline); every '"op":"query"' response
+# line must be byte-identical (ingest acks and stats dumps legitimately
+# vary and are filtered out). Driven by ctest
 # (tools_serve_identity) and by the CI serve job with a larger --n.
 #
 # Usage: serve_smoke.sh <fairlaw_generate> <fairlaw_serve> <n> <workdir>
@@ -33,6 +34,21 @@ query_every=$((n / 4))
 
 cmp "$dir/resp_batch64.jsonl" "$dir/resp_batch977_t4.jsonl"
 cmp "$dir/resp_batch64.jsonl" "$dir/resp_batch64_t0.jsonl"
+
+# Input framing: the same stream with CRLF line endings, and with its
+# final newline stripped, must answer every query identically.
+if [ -n "$(tail -c 1 "$dir/stream_a.jsonl")" ]; then
+  echo "expected $dir/stream_a.jsonl to end with a newline" >&2
+  exit 1
+fi
+sed 's/$/\r/' "$dir/stream_a.jsonl" >"$dir/stream_a_crlf.jsonl"
+head -c -1 "$dir/stream_a.jsonl" >"$dir/stream_a_no_final_newline.jsonl"
+"$serve" --with-strata <"$dir/stream_a_crlf.jsonl" \
+    | grep '"op":"query"' >"$dir/resp_crlf.jsonl"
+"$serve" --with-strata --threads=4 <"$dir/stream_a_no_final_newline.jsonl" \
+    | grep '"op":"query"' >"$dir/resp_no_final_newline_t4.jsonl"
+cmp "$dir/resp_batch64.jsonl" "$dir/resp_crlf.jsonl"
+cmp "$dir/resp_batch64.jsonl" "$dir/resp_no_final_newline_t4.jsonl"
 
 count=$(wc -l <"$dir/resp_batch64.jsonl")
 if [ "$count" -lt 4 ]; then

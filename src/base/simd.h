@@ -18,6 +18,9 @@
 //    they are deterministic (fixed lane order, fixed tail handling), but
 //    the vectorized polynomial cosine may differ from std::cos by a few
 //    ulps, so cross-backend float results agree only to tolerance.
+//  * StructuralMask is an exact byte classification (the CSV
+//    tokenizer's kernel) and, like the popcounts, matches its scalar
+//    reference bit for bit on every backend.
 //  * The `scalar` nested namespace always provides the reference
 //    implementations regardless of backend, for equivalence tests and
 //    benchmark comparisons.
@@ -118,6 +121,20 @@ inline double CosSum(const double* x, size_t n) {
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) total += std::cos(x[i]);
   return total;
+}
+
+/// Bit i is set iff p[i] is `delimiter`, '\n', '\r' or '"', for i < n
+/// (n <= 64); bits n and above are zero. Serves both as the reference for
+/// the 64-byte kernel and as the tokenizer's tail under 64 bytes.
+inline uint64_t StructuralMask(const char* p, size_t n, char delimiter) {
+  uint64_t mask = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const char c = p[i];
+    if (c == delimiter || c == '\n' || c == '\r' || c == '"') {
+      mask |= uint64_t{1} << i;
+    }
+  }
+  return mask;
 }
 
 /// Sum of cos(scale * x[i] + offset) over i in [0, n).
@@ -296,6 +313,25 @@ inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
+/// StructuralMask over exactly 64 bytes: four byte compares per 32-byte
+/// half, OR-ed, then one movemask per half.
+inline uint64_t StructuralMask(const char* p, char delimiter) {
+  const __m256i delim = _mm256_set1_epi8(delimiter);
+  const __m256i lf = _mm256_set1_epi8('\n');
+  const __m256i cr = _mm256_set1_epi8('\r');
+  const __m256i quote = _mm256_set1_epi8('"');
+  const auto half = [&](const char* q) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
+    const __m256i hits = _mm256_or_si256(
+        _mm256_or_si256(_mm256_cmpeq_epi8(v, delim), _mm256_cmpeq_epi8(v, lf)),
+        _mm256_or_si256(_mm256_cmpeq_epi8(v, cr),
+                        _mm256_cmpeq_epi8(v, quote)));
+    return static_cast<uint64_t>(
+        static_cast<uint32_t>(_mm256_movemask_epi8(hits)));
+  };
+  return half(p) | (half(p + 32) << 32);
+}
+
 inline double CosSum(const double* x, size_t n) {
   __m256d acc = _mm256_setzero_pd();
   size_t i = 0;
@@ -442,6 +478,31 @@ inline uint64_t AndIntoPopcountWords(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
+/// StructuralMask over exactly 64 bytes. Each compare lane is 0xff or 0;
+/// AND-ing with per-lane bit weights and three rounds of pairwise adds
+/// fold every 8 lanes into one byte, so byte k of the low 64 bits holds
+/// mask bits 8k..8k+7.
+inline uint64_t StructuralMask(const char* p, char delimiter) {
+  const uint8x16_t delim = vdupq_n_u8(static_cast<uint8_t>(delimiter));
+  const uint8x16_t lf = vdupq_n_u8('\n');
+  const uint8x16_t cr = vdupq_n_u8('\r');
+  const uint8x16_t quote = vdupq_n_u8('"');
+  static constexpr uint8_t kBitWeights[16] = {1, 2, 4, 8, 16, 32, 64, 128,
+                                              1, 2, 4, 8, 16, 32, 64, 128};
+  const uint8x16_t weights = vld1q_u8(kBitWeights);
+  const auto quarter = [&](const char* q) {
+    const uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(q));
+    const uint8x16_t hits =
+        vorrq_u8(vorrq_u8(vceqq_u8(v, delim), vceqq_u8(v, lf)),
+                 vorrq_u8(vceqq_u8(v, cr), vceqq_u8(v, quote)));
+    return vandq_u8(hits, weights);
+  };
+  const uint8x16_t sum =
+      vpaddq_u8(vpaddq_u8(quarter(p), quarter(p + 16)),
+                vpaddq_u8(quarter(p + 32), quarter(p + 48)));
+  return vgetq_lane_u64(vreinterpretq_u64_u8(vpaddq_u8(sum, sum)), 0);
+}
+
 // No vectorized cosine on NEON yet; the feature map falls back to the
 // libm loop (counted by the stats fallback counter).
 inline double CosSum(const double* x, size_t n) {
@@ -483,6 +544,9 @@ inline double CosSum(const double* x, size_t n) {
 inline double CosSumAffine(const double* x, size_t n, double scale,
                            double offset) {
   return scalar::CosSumAffine(x, n, scale, offset);
+}
+inline uint64_t StructuralMask(const char* p, char delimiter) {
+  return scalar::StructuralMask(p, 64, delimiter);
 }
 
 #endif

@@ -1,155 +1,432 @@
 #include "data/csv.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
-#include <sstream>
+#include <span>
+#include <string_view>
+#include <system_error>
 
+#include "base/simd.h"
 #include "base/string_util.h"
 #include "obs/obs.h"
 
 namespace fairlaw::data {
 namespace {
 
-/// Incremental CSV row scanner over a stream: pulls one row per call with
-/// a fixed-size read buffer, honoring quoting ("" escapes), CR/LF/CRLF
-/// newlines, and blank-line skipping. This is the single tokenizer behind
-/// both the whole-table readers and the streaming CsvChunkReader, so the
-/// two ingestion paths cannot drift apart.
-class RowScanner {
- public:
-  RowScanner(std::istream* input, char delimiter)
-      : input_(input), delimiter_(delimiter) {}
+/// Bytes per file read. A streaming read grows past it only to finish a
+/// row or a chunk that does not fit.
+constexpr size_t kReadBlockBytes = size_t{1} << 16;
 
-  /// Scans the next row into *row (cleared first). Returns true when a
-  /// row was produced, false at clean end of input; Invalid on an
-  /// unterminated quote, IOError on a read failure.
-  FAIRLAW_NODISCARD Result<bool> NextRow(std::vector<std::string>* row) {
-    row->clear();
-    std::string field;
-    bool in_quotes = false;
-    bool row_has_content = false;
-    for (;;) {
-      const int ci = TakeByte();
-      if (ci < 0) {
-        if (input_->bad()) return Status::IOError("error reading CSV stream");
-        if (in_quotes) return Status::Invalid("CSV: unterminated quoted field");
-        if (row_has_content || !field.empty()) {
-          row->push_back(std::move(field));
-          return true;
-        }
-        return false;
-      }
-      const char c = static_cast<char>(ci);
-      if (in_quotes) {
-        if (c == '"') {
-          if (PeekByte() == '"') {
-            field += '"';
-            (void)TakeByte();
-            continue;
-          }
-          in_quotes = false;
-          continue;
-        }
-        field += c;
-        continue;
-      }
-      if (c == '"') {
-        in_quotes = true;
-        row_has_content = true;
-        continue;
-      }
-      if (c == delimiter_) {
-        row->push_back(std::move(field));
-        field.clear();
-        row_has_content = true;
-        continue;
-      }
-      if (c == '\n' || c == '\r') {
-        if (c == '\r' && PeekByte() == '\n') (void)TakeByte();
-        if (row_has_content || !field.empty()) {
-          row->push_back(std::move(field));
-          return true;
-        }
-        continue;  // blank line: keep scanning
-      }
-      field += c;
-      row_has_content = true;
-    }
+/// Field offsets are 32-bit, so one tokenized text is at most 4 GiB.
+constexpr size_t kMaxTextBytes = std::numeric_limits<uint32_t>::max();
+
+constexpr size_t kAllRows = std::numeric_limits<size_t>::max();
+
+Status TooLargeError() {
+  return Status::Invalid("CSV: input larger than 4 GiB");
+}
+
+Status UnterminatedQuoteError() {
+  return Status::Invalid("CSV: unterminated quoted field");
+}
+
+Status FileShrankError() {
+  return Status::IOError("CSV: file shrank between inference and read passes");
+}
+
+/// One field as 32-bit offsets. A field taken straight from the text is
+/// text[begin, end), begin <= end. A field that held a quote is unescaped
+/// into the tokenizer's arena and stored swapped, as arena[end, begin);
+/// an empty field reads the same from either side, so no flag bit is
+/// needed.
+struct FieldSpan {
+  uint32_t begin;
+  uint32_t end;
+};
+
+/// The one CSV tokenizer, behind both the whole-text readers and the
+/// streaming CsvChunkReader. It walks the structural-byte mask of
+/// simd::StructuralMask 64 bytes at a time and stores the fields of each
+/// complete row column-major, one FieldSpan vector per column, so a
+/// per-column pass reads one dense vector instead of a cache line per
+/// cell.
+///
+/// Grammar: a quote may open anywhere in a field; inside quotes "" is a
+/// literal quote and delimiters and newlines are field bytes; CR, LF and
+/// CRLF each end a row; a row with no bytes (a blank line) is skipped; a
+/// trailing delimiter at EOF ends in an empty last field. Since "" flips
+/// the quote state twice, being inside quotes is exactly the parity of
+/// the quotes seen so far, so one bit of state per text suffices.
+class Tokenizer {
+ public:
+  struct Ragged {
+    size_t row;     // index among all rows, header included
+    size_t fields;  // its field count
+  };
+
+  /// `num_columns` fixes the column count up front; 0 takes it from the
+  /// first row.
+  Tokenizer(char delimiter, size_t num_columns)
+      : delimiter_(delimiter),
+        columns_(num_columns),
+        learned_(num_columns > 0) {}
+
+  /// Tokenizes rows of text[pos, size), where `pos` is a row boundary,
+  /// until `max_rows` more rows are stored or the text ends. Returns the
+  /// offset of the first byte not consumed: the start of a row the end of
+  /// the text cut off (unless `at_eof`), the start of a ragged row, or
+  /// the byte after the last stored row. A last row that ends inside
+  /// quotes at EOF sets unterminated_quote().
+  size_t Tokenize(const char* text, size_t size, size_t pos, bool at_eof,
+                  size_t max_rows);
+
+  size_t num_columns() const { return columns_.size(); }
+  /// Rows stored since the last ClearRows().
+  size_t num_rows() const { return num_rows_; }
+  std::span<const FieldSpan> column(size_t c) const { return columns_[c]; }
+
+  /// The field's bytes; valid until the next Tokenize or ClearRows.
+  std::string_view View(FieldSpan field) const {
+    return field.begin <= field.end
+               ? std::string_view(text_ + field.begin, field.end - field.begin)
+               : std::string_view(arena_.data() + field.end,
+                                  field.begin - field.end);
   }
 
-  /// Bytes consumed from the stream so far.
-  size_t bytes_consumed() const { return bytes_consumed_; }
+  void Reserve(size_t rows) {
+    for (std::vector<FieldSpan>& column : columns_) column.reserve(rows);
+  }
+
+  /// Frees a column's spans once it has been parsed.
+  void ReleaseColumn(size_t c) { std::vector<FieldSpan>().swap(columns_[c]); }
+
+  void ClearRows() {
+    for (std::vector<FieldSpan>& column : columns_) column.clear();
+    arena_.clear();
+    num_rows_ = 0;
+  }
+
+  bool unterminated_quote() const { return unterminated_quote_; }
+
+  /// The first row whose field count differs from the first row's. It is
+  /// not stored; Tokenize stopped at its start.
+  const std::optional<Ragged>& ragged() const { return ragged_; }
 
  private:
-  static constexpr size_t kBufferSize = size_t{1} << 16;
-
-  int TakeByte() {
-    if (pos_ >= len_ && !Fill()) return -1;
-    ++bytes_consumed_;
-    return static_cast<unsigned char>(buffer_[pos_++]);
+  void BeginRow(size_t pos) {
+    row_start_ = pos;
+    row_arena_start_ = arena_.size();
+    field_index_ = 0;
   }
 
-  int PeekByte() {
-    if (pos_ >= len_ && !Fill()) return -1;
-    return static_cast<unsigned char>(buffer_[pos_]);
+  void EmitField(size_t begin, size_t end, bool quoted) {
+    const size_t c = field_index_++;
+    if (c >= columns_.size()) {
+      if (learned_) return;  // extra field of a ragged row
+      columns_.emplace_back();
+    }
+    columns_[c].push_back(quoted ? Unescape(begin, end)
+                                 : FieldSpan{static_cast<uint32_t>(begin),
+                                             static_cast<uint32_t>(end)});
   }
 
-  bool Fill() {
-    if (at_end_) return false;
-    input_->read(buffer_.data(), static_cast<std::streamsize>(kBufferSize));
-    len_ = static_cast<size_t>(input_->gcount());
-    pos_ = 0;
-    if (len_ == 0) {
-      at_end_ = true;
+  /// Copies text[begin, end) into the arena without its quoting.
+  FieldSpan Unescape(size_t begin, size_t end) {
+    if (arena_.capacity() < text_size_) arena_.reserve(text_size_);
+    const size_t start = arena_.size();
+    bool in_quotes = false;
+    for (size_t i = begin; i < end; ++i) {
+      if (text_[i] != '"') {
+        arena_ += text_[i];
+      } else if (in_quotes && i + 1 < end && text_[i + 1] == '"') {
+        arena_ += '"';
+        ++i;
+      } else {
+        in_quotes = !in_quotes;
+      }
+    }
+    return FieldSpan{static_cast<uint32_t>(arena_.size()),
+                     static_cast<uint32_t>(start)};
+  }
+
+  /// Stores the finished row, or records it as ragged and drops it.
+  bool EndRow() {
+    if (!learned_) {
+      learned_ = true;
+    } else if (field_index_ != columns_.size()) {
+      ragged_ = Ragged{rows_seen_, field_index_};
+      DropRow();
       return false;
     }
+    ++rows_seen_;
+    ++num_rows_;
     return true;
   }
 
-  std::istream* input_;
+  /// Removes the fields of the row being tokenized.
+  void DropRow() {
+    if (!learned_) {
+      columns_.clear();
+    } else {
+      const size_t stored = std::min(field_index_, columns_.size());
+      for (size_t c = 0; c < stored; ++c) columns_[c].pop_back();
+    }
+    arena_.resize(row_arena_start_);
+    field_index_ = 0;
+  }
+
   char delimiter_;
-  std::vector<char> buffer_ = std::vector<char>(kBufferSize);
-  size_t pos_ = 0;
-  size_t len_ = 0;
-  size_t bytes_consumed_ = 0;
-  bool at_end_ = false;
+  std::vector<std::vector<FieldSpan>> columns_;
+  bool learned_;
+  // Unescaped quoted fields, reserved to the text size when first needed
+  // so appends never reallocate while a text is tokenized.
+  std::string arena_;
+  const char* text_ = nullptr;
+  size_t text_size_ = 0;
+  size_t num_rows_ = 0;
+  size_t rows_seen_ = 0;  // complete rows over the tokenizer's life
+  size_t row_start_ = 0;
+  size_t row_arena_start_ = 0;
+  size_t field_index_ = 0;
+  bool unterminated_quote_ = false;
+  std::optional<Ragged> ragged_;
 };
 
-/// Scans every row of `input` (used by the whole-table readers; the
-/// streaming reader drives RowScanner chunk by chunk instead).
-Result<std::vector<std::vector<std::string>>> ScanAllRows(std::istream* input,
-                                                          char delimiter) {
-  RowScanner scanner(input, delimiter);
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, scanner.NextRow(&row));
-    if (!has_row) break;
-    rows.push_back(std::move(row));
+size_t Tokenizer::Tokenize(const char* text, size_t size, size_t pos,
+                           bool at_eof, size_t max_rows) {
+  text_ = text;
+  text_size_ = size;
+  size_t stored = 0;
+  size_t field_start = pos;
+  bool quoted = false;  // the current field holds a quote
+  bool in_quotes = false;
+  BeginRow(pos);
+  size_t block = pos;
+  while (block < size) {
+    uint64_t mask =
+        size - block >= 64
+            ? simd::StructuralMask(text + block, delimiter_)
+            : simd::scalar::StructuralMask(text + block, size - block,
+                                           delimiter_);
+    size_t next_block = block + 64;
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t at = block + static_cast<size_t>(std::countr_zero(mask));
+      const char c = text[at];
+      if (c == '"') {
+        in_quotes = !in_quotes;
+        quoted = true;
+        continue;
+      }
+      if (in_quotes) continue;
+      if (c == delimiter_) {
+        EmitField(field_start, at, quoted);
+        field_start = at + 1;
+        quoted = false;
+        continue;
+      }
+      // '\n' or '\r' ends the row; a row without a byte is a blank line.
+      // CRLF is one terminator, which shows only when LF is the
+      // delimiter: then the LF is skipped, and a CR that ends the text
+      // before EOF waits for the next byte.
+      size_t row_end = at + 1;
+      if (c == '\r' && delimiter_ == '\n') {
+        if (row_end == size && !at_eof) break;
+        if (row_end < size && text[row_end] == '\n') ++row_end;
+      }
+      if (field_index_ > 0 || at > field_start) {
+        EmitField(field_start, at, quoted);
+        if (!EndRow()) return row_start_;
+        if (++stored == max_rows) return row_end;
+      }
+      field_start = row_end;
+      quoted = false;
+      BeginRow(row_end);
+      if (row_end > at + 1) {  // rescan past the skipped LF
+        next_block = row_end;
+        break;
+      }
+    }
+    block = next_block;
   }
-  return rows;
+  if (in_quotes && at_eof) unterminated_quote_ = true;
+  if (!at_eof || in_quotes) {
+    DropRow();
+    return row_start_;
+  }
+  if (field_index_ > 0 || size > field_start) {
+    EmitField(field_start, size, quoted);
+    if (!EndRow()) return row_start_;
+  }
+  return size;
 }
 
-bool IsNullToken(const std::string& raw, const CsvOptions& options) {
-  std::string stripped(StripWhitespace(raw));
-  for (const std::string& token : options.null_tokens) {
-    if (stripped == token) return true;
-  }
-  return false;
+Status RaggedRowError(const Tokenizer::Ragged& ragged, size_t expected) {
+  return Status::Invalid("CSV: row " + std::to_string(ragged.row) + " has " +
+                         std::to_string(ragged.fields) +
+                         " fields, expected " + std::to_string(expected));
 }
 
-/// O(1)-memory column type tracker: the streaming inference pass keeps one
-/// of these per column instead of the token matrix, and the whole-table
-/// reader folds its rows through the same flags, so both ingestion paths
-/// infer identical schemas by construction. Priority: int64 > double >
-/// bool > string; a column with no non-null values is string.
+/// A file read into one buffer, in reads of a requested size. The buffer
+/// holds every byte read and not yet dropped.
+class FileReader {
+ public:
+  FAIRLAW_NODISCARD static Result<FileReader> Open(const std::string& path) {
+    FileReader reader;
+    reader.file_.reset(std::fopen(path.c_str(), "rb"));
+    if (!reader.file_) {
+      return Status::IOError("cannot open '" + path + "' for reading");
+    }
+    reader.path_ = path;
+    return reader;
+  }
+
+  /// Appends up to `bytes` more bytes of the file; a short read is the
+  /// end of the file. A directory opens but fails here.
+  FAIRLAW_NODISCARD Status Fill(size_t bytes) {
+    if (capacity_ - size_ < bytes) {
+      const size_t capacity = std::max(size_ + bytes, 2 * capacity_);
+      std::unique_ptr<char[]> grown(new char[capacity]);
+      if (size_ > 0) std::memcpy(grown.get(), buffer_.get(), size_);
+      buffer_ = std::move(grown);
+      capacity_ = capacity;
+    }
+    const size_t got = std::fread(buffer_.get() + size_, 1, bytes, file_.get());
+    size_ += got;
+    bytes_read_ += got;
+    if (got < bytes) {
+      if (std::ferror(file_.get())) {
+        return Status::IOError("error reading '" + path_ + "'");
+      }
+      eof_ = true;
+    }
+    return Status::OK();
+  }
+
+  /// Drops the first `bytes` buffered bytes.
+  void Drop(size_t bytes) {
+    std::memmove(buffer_.get(), buffer_.get() + bytes, size_ - bytes);
+    size_ -= bytes;
+  }
+
+  const char* data() const { return buffer_.get(); }
+  size_t size() const { return size_; }
+  bool eof() const { return eof_; }
+  size_t bytes_read() const { return bytes_read_; }
+
+ private:
+  struct Closer {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+
+  FileReader() = default;
+
+  std::unique_ptr<std::FILE, Closer> file_;
+  std::string path_;
+  std::unique_ptr<char[]> buffer_;
+  size_t capacity_ = 0;
+  size_t size_ = 0;
+  size_t bytes_read_ = 0;
+  bool eof_ = false;
+};
+
+/// The tokenizer over a file read block by block. Stored rows point into
+/// the buffer, which keeps their bytes until Release(); a row cut off by
+/// the end of a read is carried into the next one and tokenized again.
+class CsvStream {
+ public:
+  CsvStream(FileReader file, Tokenizer tokenizer)
+      : file_(std::move(file)), tokenizer_(std::move(tokenizer)) {}
+
+  /// Tokenizes until `max_rows` rows are stored, reading as needed. Stops
+  /// early at the end of the file, a ragged row or an unterminated quote.
+  FAIRLAW_NODISCARD Status Advance(size_t max_rows) {
+    for (;;) {
+      pos_ = tokenizer_.Tokenize(file_.data(), file_.size(), pos_,
+                                 file_.eof(),
+                                 max_rows - tokenizer_.num_rows());
+      if (tokenizer_.num_rows() == max_rows || file_.eof() ||
+          tokenizer_.ragged()) {
+        return Status::OK();
+      }
+      // Reading at least the carried bytes again keeps re-tokenizing a
+      // long row linear overall.
+      const size_t bytes = std::max(kReadBlockBytes, file_.size() - pos_);
+      if (file_.size() + bytes > kMaxTextBytes) return TooLargeError();
+      FAIRLAW_RETURN_NOT_OK(file_.Fill(bytes));
+    }
+  }
+
+  /// Drops the stored rows and the bytes they came from.
+  void Release() {
+    tokenizer_.ClearRows();
+    file_.Drop(pos_);
+    pos_ = 0;
+  }
+
+  const Tokenizer& tokenizer() const { return tokenizer_; }
+  size_t bytes_read() const { return file_.bytes_read(); }
+
+ private:
+  FileReader file_;
+  Tokenizer tokenizer_;
+  size_t pos_ = 0;
+};
+
+/// The bytes std::isspace accepts in the C locale, which is what
+/// StripWhitespace strips.
+bool IsCsvSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// The null-token test, run on the field view without building a string:
+/// a field is null if, stripped of whitespace, it equals a null token.
+class NullTokens {
+ public:
+  explicit NullTokens(const CsvOptions& options)
+      : tokens_(&options.null_tokens) {
+    for (const std::string& token : *tokens_) {
+      max_size_ = std::max(max_size_, token.size());
+    }
+  }
+
+  bool Matches(std::string_view raw) const {
+    // Most cells are longer than every token and have no edge space.
+    if (raw.size() > max_size_ && !IsCsvSpace(raw.front()) &&
+        !IsCsvSpace(raw.back())) {
+      return false;
+    }
+    size_t begin = 0;
+    size_t end = raw.size();
+    while (begin < end && IsCsvSpace(raw[begin])) ++begin;
+    while (end > begin && IsCsvSpace(raw[end - 1])) --end;
+    const std::string_view stripped = raw.substr(begin, end - begin);
+    for (const std::string& token : *tokens_) {
+      if (stripped == token) return true;
+    }
+    return false;
+  }
+
+ private:
+  const std::vector<std::string>* tokens_;
+  size_t max_size_ = 0;
+};
+
+/// O(1)-memory column type tracker for the streaming inference pass.
+/// Priority: int64 > double > bool > string; a column with no non-null
+/// values is string. InferColumn below applies the same priority by
+/// parsing, so both ingestion paths infer identical schemas.
 struct ColumnTypeFlags {
   bool all_int = true;
   bool all_double = true;
   bool all_bool = true;
   bool any_value = false;
 
-  void Observe(const std::string& raw) {
+  void Observe(std::string_view raw) {
     any_value = true;
     if (all_int && !ParseInt64(raw).ok()) all_int = false;
     if (all_double && !ParseDouble(raw).ok()) all_double = false;
@@ -165,40 +442,196 @@ struct ColumnTypeFlags {
   }
 };
 
-DataType InferColumnType(const std::vector<std::vector<std::string>>& rows,
-                         size_t column, size_t first_data_row,
-                         const CsvOptions& options) {
-  ColumnTypeFlags flags;
-  for (size_t r = first_data_row; r < rows.size(); ++r) {
-    if (column >= rows[r].size()) continue;
-    const std::string& raw = rows[r][column];
-    if (IsNullToken(raw, options)) continue;
-    flags.Observe(raw);
-    if (!flags.all_int && !flags.all_double && !flags.all_bool) break;
+/// The fields of one tokenized column, from row `first_row` on.
+class ColumnFields {
+ public:
+  ColumnFields(const Tokenizer& tokenizer, size_t column, size_t first_row)
+      : tokenizer_(&tokenizer),
+        spans_(tokenizer.column(column).subspan(first_row)) {}
+
+  size_t size() const { return spans_.size(); }
+  std::string_view operator[](size_t i) const {
+    return tokenizer_->View(spans_[i]);
   }
-  return flags.Resolve();
+
+ private:
+  const Tokenizer* tokenizer_;
+  std::span<const FieldSpan> spans_;
+};
+
+/// Which cells of a column are null, tested once per cell.
+struct Validity {
+  std::vector<uint8_t> valid;  // 0 for a null token
+  size_t null_count = 0;
+};
+
+Validity MarkNulls(const ColumnFields& fields, const NullTokens& nulls) {
+  Validity validity;
+  validity.valid.resize(fields.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const bool is_null = nulls.Matches(fields[i]);
+    validity.valid[i] = is_null ? 0 : 1;
+    validity.null_count += is_null ? 1 : 0;
+  }
+  return validity;
 }
 
-Result<std::optional<Cell>> ParseCell(const std::string& raw, DataType type,
-                                      const CsvOptions& options) {
-  if (IsNullToken(raw, options)) return std::optional<Cell>();
-  switch (type) {
-    case DataType::kDouble: {
-      FAIRLAW_ASSIGN_OR_RETURN(double v, ParseDouble(raw));
-      return std::optional<Cell>(Cell(v));
+Column ColumnOf(std::vector<int64_t> values) {
+  return Column::FromInt64s(std::move(values));
+}
+Column ColumnOf(std::vector<double> values) {
+  return Column::FromDoubles(std::move(values));
+}
+Column ColumnOf(std::vector<uint8_t> values) {
+  return Column::FromBools(std::move(values));
+}
+Column ColumnOf(std::vector<std::string> values) {
+  return Column::FromStrings(std::move(values));
+}
+
+void AppendValue(Column* column, int64_t value) { column->AppendInt64(value); }
+void AppendValue(Column* column, double value) { column->AppendDouble(value); }
+void AppendValue(Column* column, uint8_t value) {
+  column->AppendBool(value != 0);
+}
+void AppendValue(Column* column, std::string value) {
+  column->AppendString(std::move(value));
+}
+
+/// Column::From* when no cell is null; otherwise values and nulls are
+/// appended in row order.
+template <typename T>
+Column MakeColumn(std::vector<T> values, const Validity& validity) {
+  if (validity.null_count == 0) return ColumnOf(std::move(values));
+  Column column = ColumnOf(std::vector<T>());
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (validity.valid[i] != 0) {
+      AppendValue(&column, std::move(values[i]));
+    } else {
+      column.AppendNull();
     }
-    case DataType::kInt64: {
-      FAIRLAW_ASSIGN_OR_RETURN(int64_t v, ParseInt64(raw));
-      return std::optional<Cell>(Cell(v));
-    }
-    case DataType::kBool: {
-      FAIRLAW_ASSIGN_OR_RETURN(bool v, ParseBool(raw));
-      return std::optional<Cell>(Cell(v));
-    }
-    case DataType::kString:
-      return std::optional<Cell>(Cell(raw));
   }
-  return Status::Internal("ParseCell: unknown type");
+  return column;
+}
+
+/// Parses every non-null cell with `parse` (a null slot holds T{}),
+/// stopping at the first cell that fails.
+template <typename T, typename Parse>
+Result<Column> ParseValues(const ColumnFields& fields,
+                           const Validity& validity, Parse parse) {
+  std::vector<T> values;
+  values.reserve(fields.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (validity.valid[i] == 0) {
+      values.emplace_back();
+      continue;
+    }
+    auto parsed = parse(fields[i]);
+    if (!parsed.ok()) return parsed.status();
+    values.push_back(static_cast<T>(std::move(*parsed)));
+  }
+  return MakeColumn(std::move(values), validity);
+}
+
+/// The one column parser: parses a column's cells as `type` with the same
+/// ParseInt64/ParseDouble/ParseBool the rest of the library uses, so
+/// values are bit-identical. Fails at the first non-null cell that does
+/// not parse.
+Result<Column> ParseColumn(const ColumnFields& fields,
+                           const Validity& validity, DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+      return ParseValues<int64_t>(fields, validity, &ParseInt64);
+    case DataType::kDouble:
+      return ParseValues<double>(fields, validity, &ParseDouble);
+    case DataType::kBool:
+      return ParseValues<uint8_t>(fields, validity, &ParseBool);
+    case DataType::kString:
+      return ParseValues<std::string>(
+          fields, validity, [](std::string_view raw) {
+            return Result<std::string>(std::string(raw));
+          });
+  }
+  return Status::Internal("CSV: unknown column type");
+}
+
+/// Typing is parsing: tries int64, then double, then bool. The first
+/// attempt that parses every non-null cell gives both the column's type
+/// and its values; an all-null column is string. The double attempt
+/// parses the text again rather than widening stored ints, so "-0" keeps
+/// its sign.
+Result<Column> InferColumn(const ColumnFields& fields,
+                           const Validity& validity) {
+  if (validity.null_count < fields.size()) {
+    for (const DataType type :
+         {DataType::kInt64, DataType::kDouble, DataType::kBool}) {
+      Result<Column> column = ParseColumn(fields, validity, type);
+      if (column.ok()) return column;
+    }
+  }
+  return ParseColumn(fields, validity, DataType::kString);
+}
+
+/// Column c's name: its stripped header field (the tokenizer's first
+/// stored row), or c0, c1, ... without a header.
+std::string ColumnName(const Tokenizer& tokenizer, size_t c,
+                       const CsvOptions& options) {
+  if (!options.has_header) return std::string("c").append(std::to_string(c));
+  return std::string(StripWhitespace(tokenizer.View(tokenizer.column(c)[0])));
+}
+
+/// Reads and parses a whole CSV text (ReadCsvString and ReadCsvFile).
+Result<Table> ParseCsvText(std::string_view text, const CsvOptions& options) {
+  obs::TraceSpan span("read_csv");
+  obs::GetCounter("csv.bytes_read")->Increment(text.size());
+  if (text.size() > kMaxTextBytes) return TooLargeError();
+  Tokenizer tokenizer(options.delimiter, 0);
+  // The first two rows alone give a row width to size the span vectors
+  // by, so they rarely regrow; then the rest. A row takes at least one
+  // byte per column, which caps the estimate.
+  size_t stop = tokenizer.Tokenize(text.data(), text.size(), 0,
+                                   /*at_eof=*/true, 2);
+  if (tokenizer.num_rows() == 2) {
+    tokenizer.Reserve(std::min(text.size() / (stop / 2) * 3 / 2,
+                               text.size() / tokenizer.num_columns() + 1));
+    stop = tokenizer.Tokenize(text.data(), text.size(), stop,
+                              /*at_eof=*/true, kAllRows);
+  }
+  // An open quote anywhere in the text is reported before a ragged row.
+  // The ragged row starts outside quotes, so the text ends inside quotes
+  // iff an odd number of quotes follow that start.
+  if (tokenizer.unterminated_quote() ||
+      (tokenizer.ragged() &&
+       std::count(text.begin() + static_cast<ptrdiff_t>(stop), text.end(),
+                  '"') % 2 == 1)) {
+    return UnterminatedQuoteError();
+  }
+  if (tokenizer.num_rows() == 0) {
+    return Status::Invalid("CSV: input has no rows");
+  }
+  const size_t num_columns = tokenizer.num_columns();
+  if (tokenizer.ragged()) {
+    return RaggedRowError(*tokenizer.ragged(), num_columns);
+  }
+
+  const size_t first_data_row = options.has_header ? 1 : 0;
+  const NullTokens nulls(options);
+  std::vector<Field> fields(num_columns);
+  std::vector<Column> columns;
+  columns.reserve(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    fields[c].name = ColumnName(tokenizer, c, options);
+    const ColumnFields cells(tokenizer, c, first_data_row);
+    FAIRLAW_ASSIGN_OR_RETURN(Column column,
+                             InferColumn(cells, MarkNulls(cells, nulls)));
+    fields[c].type = column.type();
+    columns.push_back(std::move(column));
+    tokenizer.ReleaseColumn(c);
+  }
+  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+  obs::GetCounter("csv.rows_loaded")
+      ->Increment(tokenizer.num_rows() - first_data_row);
+  return Table::Make(std::move(schema), std::move(columns));
 }
 
 std::string EscapeField(const std::string& value, char delimiter) {
@@ -220,63 +653,22 @@ std::string EscapeField(const std::string& value, char delimiter) {
 
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
-  obs::TraceSpan span("read_csv");
-  obs::GetCounter("csv.bytes_read")->Increment(text.size());
-  std::istringstream input(text);
-  FAIRLAW_ASSIGN_OR_RETURN(auto rows,
-                           ScanAllRows(&input, options.delimiter));
-  if (rows.empty()) return Status::Invalid("CSV: input has no rows");
-
-  const size_t num_columns = rows[0].size();
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != num_columns) {
-      return Status::Invalid("CSV: row " + std::to_string(r) + " has " +
-                             std::to_string(rows[r].size()) +
-                             " fields, expected " +
-                             std::to_string(num_columns));
-    }
-  }
-
-  std::vector<std::string> names(num_columns);
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    for (size_t c = 0; c < num_columns; ++c) {
-      names[c] = std::string(StripWhitespace(rows[0][c]));
-    }
-    first_data_row = 1;
-  } else {
-    for (size_t c = 0; c < num_columns; ++c) {
-      names[c] = std::string("c").append(std::to_string(c));
-    }
-  }
-
-  std::vector<Field> fields(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    fields[c] = Field{names[c],
-                      InferColumnType(rows, c, first_data_row, options)};
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-
-  TableBuilder builder(schema);
-  for (size_t r = first_data_row; r < rows.size(); ++r) {
-    std::vector<std::optional<Cell>> cells(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      FAIRLAW_ASSIGN_OR_RETURN(
-          cells[c], ParseCell(rows[r][c], schema.field(c).type, options));
-    }
-    FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-  }
-  obs::GetCounter("csv.rows_loaded")->Increment(rows.size() - first_data_row);
-  return builder.Finish();
+  return ParseCsvText(text, options);
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream input(path, std::ios::binary);
-  if (!input) return Status::IOError("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  if (input.bad()) return Status::IOError("error reading '" + path + "'");
-  return ReadCsvString(buffer.str(), options);
+  FAIRLAW_ASSIGN_OR_RETURN(FileReader file, FileReader::Open(path));
+  // One read of the whole file when its size is known: asking for one
+  // byte more than the size sees the end in the same read.
+  std::error_code error;
+  const uintmax_t file_size = std::filesystem::file_size(path, error);
+  if (!error && file_size > kMaxTextBytes) return TooLargeError();
+  size_t bytes = error ? kReadBlockBytes : static_cast<size_t>(file_size) + 1;
+  while (!file.eof()) {
+    FAIRLAW_RETURN_NOT_OK(file.Fill(bytes));
+    bytes = std::max(bytes, file.size());
+  }
+  return ParseCsvText(std::string_view(file.data(), file.size()), options);
 }
 
 Result<std::string> WriteCsvString(const Table& table,
@@ -318,8 +710,7 @@ struct CsvChunkReader::Impl {
   Schema schema;
   size_t num_rows = 0;   // data rows in the file
   size_t rows_read = 0;  // data rows emitted so far
-  std::ifstream input;   // pass-2 stream; scanner points into it
-  std::unique_ptr<RowScanner> scanner;
+  std::optional<CsvStream> stream;  // the read pass, past the header
 };
 
 CsvChunkReader::CsvChunkReader() : impl_(std::make_unique<Impl>()) {}
@@ -345,72 +736,60 @@ Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
   impl.chunk_rows =
       options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
 
-  // Pass 1: flags-only inference sweep. Holds one row of tokens plus
-  // O(columns) type flags, never the file.
-  std::ifstream infer_input(path, std::ios::binary);
-  if (!infer_input) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  RowScanner infer_scanner(&infer_input, options.csv.delimiter);
-  std::vector<std::string> row;
+  // Pass 1: inference. Holds one chunk of tokenized rows plus O(columns)
+  // type flags, never the file.
+  FAIRLAW_ASSIGN_OR_RETURN(FileReader infer_file, FileReader::Open(path));
+  CsvStream infer(std::move(infer_file), Tokenizer(options.csv.delimiter, 0));
+  const NullTokens nulls(options.csv);
   std::vector<std::string> names;
   std::vector<ColumnTypeFlags> flags;
-  size_t num_columns = 0;
-  size_t row_index = 0;
-  size_t data_rows = 0;
+  size_t rows = 0;  // header included
   for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, infer_scanner.NextRow(&row));
-    if (!has_row) break;
-    if (row_index == 0) {
-      num_columns = row.size();
-      flags.assign(num_columns, ColumnTypeFlags{});
-      names.resize(num_columns);
-      for (size_t c = 0; c < num_columns; ++c) {
-        names[c] = options.csv.has_header
-                       ? std::string(StripWhitespace(row[c]))
-                       : std::string("c").append(std::to_string(c));
+    FAIRLAW_RETURN_NOT_OK(infer.Advance(impl.chunk_rows));
+    const Tokenizer& tokenizer = infer.tokenizer();
+    if (tokenizer.ragged()) {
+      return RaggedRowError(*tokenizer.ragged(), tokenizer.num_columns());
+    }
+    size_t first_row = 0;
+    if (rows == 0 && tokenizer.num_rows() > 0) {
+      names.resize(tokenizer.num_columns());
+      flags.assign(tokenizer.num_columns(), ColumnTypeFlags{});
+      for (size_t c = 0; c < names.size(); ++c) {
+        names[c] = ColumnName(tokenizer, c, options.csv);
+      }
+      first_row = options.csv.has_header ? 1 : 0;
+    }
+    for (size_t c = 0; c < flags.size(); ++c) {
+      const ColumnFields cells(tokenizer, c, first_row);
+      for (size_t i = 0; i < cells.size(); ++i) {
+        if (!nulls.Matches(cells[i])) flags[c].Observe(cells[i]);
       }
     }
-    if (row.size() != num_columns) {
-      return Status::Invalid("CSV: row " + std::to_string(row_index) +
-                             " has " + std::to_string(row.size()) +
-                             " fields, expected " +
-                             std::to_string(num_columns));
-    }
-    if (!(options.csv.has_header && row_index == 0)) {
-      ++data_rows;
-      for (size_t c = 0; c < num_columns; ++c) {
-        if (IsNullToken(row[c], options.csv)) continue;
-        flags[c].Observe(row[c]);
-      }
-    }
-    ++row_index;
+    rows += tokenizer.num_rows();
+    const bool more = tokenizer.num_rows() == impl.chunk_rows;
+    infer.Release();
+    if (!more) break;
   }
-  if (row_index == 0) return Status::Invalid("CSV: input has no rows");
-  obs::GetCounter("csv.bytes_read")
-      ->Increment(infer_scanner.bytes_consumed());
+  if (infer.tokenizer().unterminated_quote()) return UnterminatedQuoteError();
+  if (rows == 0) return Status::Invalid("CSV: input has no rows");
+  obs::GetCounter("csv.bytes_read")->Increment(infer.bytes_read());
 
-  std::vector<Field> fields(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
+  std::vector<Field> fields(names.size());
+  for (size_t c = 0; c < names.size(); ++c) {
     fields[c] = Field{names[c], flags[c].Resolve()};
   }
   FAIRLAW_ASSIGN_OR_RETURN(impl.schema, Schema::Make(std::move(fields)));
-  impl.num_rows = data_rows;
+  impl.num_rows = options.csv.has_header ? rows - 1 : rows;
 
-  // Pass 2 setup: reopen and pre-consume the header so Next() starts at
-  // the first data row.
-  impl.input.open(path, std::ios::binary);
-  if (!impl.input) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  impl.scanner =
-      std::make_unique<RowScanner>(&impl.input, options.csv.delimiter);
+  // Pass 2 setup: reopen and consume the header so Next() starts at the
+  // first data row.
+  FAIRLAW_ASSIGN_OR_RETURN(FileReader file, FileReader::Open(path));
+  impl.stream.emplace(std::move(file),
+                      Tokenizer(options.csv.delimiter, names.size()));
   if (options.csv.has_header) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, impl.scanner->NextRow(&row));
-    if (!has_row) {
-      return Status::IOError("CSV: file shrank between inference and "
-                             "read passes");
-    }
+    FAIRLAW_RETURN_NOT_OK(impl.stream->Advance(1));
+    if (impl.stream->tokenizer().num_rows() != 1) return FileShrankError();
+    impl.stream->Release();
   }
   return reader;
 }
@@ -419,35 +798,32 @@ Result<std::optional<Table>> CsvChunkReader::Next() {
   Impl& impl = *impl_;
   if (impl.rows_read >= impl.num_rows) return std::optional<Table>();
   obs::TraceSpan span("csv_chunk");
-  TableBuilder builder(impl.schema);
-  std::vector<std::string> row;
-  std::vector<std::optional<Cell>> cells(impl.schema.num_fields());
-  const size_t header_offset = impl.options.csv.has_header ? 1 : 0;
-  size_t in_chunk = 0;
-  while (in_chunk < impl.chunk_rows && impl.rows_read < impl.num_rows) {
-    FAIRLAW_ASSIGN_OR_RETURN(bool has_row, impl.scanner->NextRow(&row));
-    if (!has_row) {
-      return Status::IOError("CSV: file shrank between inference and "
-                             "read passes");
-    }
-    if (row.size() != impl.schema.num_fields()) {
-      return Status::Invalid(
-          "CSV: row " + std::to_string(impl.rows_read + header_offset) +
-          " has " + std::to_string(row.size()) + " fields, expected " +
-          std::to_string(impl.schema.num_fields()));
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      FAIRLAW_ASSIGN_OR_RETURN(
-          cells[c],
-          ParseCell(row[c], impl.schema.field(c).type, impl.options.csv));
-    }
-    FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-    ++in_chunk;
-    ++impl.rows_read;
+  const size_t want =
+      std::min(impl.chunk_rows, impl.num_rows - impl.rows_read);
+  CsvStream& stream = *impl.stream;
+  FAIRLAW_RETURN_NOT_OK(stream.Advance(want));
+  const Tokenizer& tokenizer = stream.tokenizer();
+  if (tokenizer.ragged()) {
+    return RaggedRowError(*tokenizer.ragged(), impl.schema.num_fields());
   }
-  obs::GetCounter("csv.rows_loaded")->Increment(in_chunk);
+  if (tokenizer.unterminated_quote()) return UnterminatedQuoteError();
+  if (tokenizer.num_rows() < want) return FileShrankError();
+  const NullTokens nulls(impl.options.csv);
+  std::vector<Column> columns;
+  columns.reserve(impl.schema.num_fields());
+  for (size_t c = 0; c < impl.schema.num_fields(); ++c) {
+    const ColumnFields cells(tokenizer, c, 0);
+    FAIRLAW_ASSIGN_OR_RETURN(
+        Column column, ParseColumn(cells, MarkNulls(cells, nulls),
+                                   impl.schema.field(c).type));
+    columns.push_back(std::move(column));
+  }
+  stream.Release();
+  impl.rows_read += want;
+  obs::GetCounter("csv.rows_loaded")->Increment(want);
   obs::GetCounter("csv.chunks_streamed")->Increment();
-  FAIRLAW_ASSIGN_OR_RETURN(Table chunk, builder.Finish());
+  FAIRLAW_ASSIGN_OR_RETURN(Table chunk,
+                           Table::Make(impl.schema, std::move(columns)));
   return std::optional<Table>(std::move(chunk));
 }
 

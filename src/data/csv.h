@@ -44,14 +44,19 @@ FAIRLAW_NODISCARD Status WriteCsvFile(const Table& table, const std::string& pat
                     const CsvOptions& options = {});
 
 /// Streams a CSV file chunk-at-a-time so ingestion is out-of-core: peak
-/// memory is bounded by the chunk size, never the file size.
+/// memory is bounded by the read block plus one chunk, never the file
+/// size.
 ///
-/// Open() makes a flags-only inference pass over the whole file (O(columns)
-/// state: per-column all-int/all-double/all-bool trackers plus the ragged-
-/// row check), so the resulting schema — and therefore every parsed cell —
-/// is byte-identical to what ReadCsvFile would produce for the same file.
-/// Next() then re-streams the file, emitting tables of at most
-/// `chunk_rows` rows until the file is exhausted.
+/// Both passes run the tokenizer ReadCsvFile uses over 64 KiB reads; a
+/// row cut off by the end of a read is carried to the front of the buffer
+/// and tokenized again once the next read lands. Open() makes an
+/// inference pass over the whole file, folding per-column
+/// all-int/all-double/all-bool flags over one chunk of field views at a
+/// time plus the ragged-row check, so the resulting schema — and
+/// therefore every parsed cell — is byte-identical to what ReadCsvFile
+/// would produce for the same file. Next() then re-streams the file and
+/// parses each chunk of at most `chunk_rows` rows with ReadCsvFile's
+/// column parser at the schema's types.
 class CsvChunkReader {
  public:
   struct Options {

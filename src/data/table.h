@@ -75,8 +75,9 @@ class Table {
   std::vector<Column> columns_;
 };
 
-/// Incremental row-oriented builder used by the CSV reader and the
-/// synthetic generators.
+/// Incremental row-oriented builder for producers that emit a row at a
+/// time (ChunkedTable::Materialize, empty tables that carry a schema).
+/// The CSV reader builds typed columns directly instead.
 class TableBuilder {
  public:
   explicit TableBuilder(Schema schema);

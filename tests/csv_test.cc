@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "data/csv.h"
 
@@ -107,6 +110,54 @@ TEST(CsvTest, FileRoundTrip) {
   EXPECT_EQ(read.num_rows(), 2u);
   std::remove(path.c_str());
   EXPECT_TRUE(ReadCsvFile("/nonexistent/nope.csv").status().IsIOError());
+}
+
+TEST(CsvTest, DirectoryIsAReadErrorOnEveryPath) {
+  const std::string dir = ::testing::TempDir() + "/fairlaw_csv_dir";
+  std::filesystem::create_directories(dir);
+  const std::string expected = "error reading '" + dir + "'";
+
+  const Result<Table> whole = ReadCsvFile(dir);
+  ASSERT_TRUE(whole.status().IsIOError()) << whole.status().ToString();
+  EXPECT_EQ(whole.status().message(), expected);
+
+  const Result<CsvChunkReader> reader = CsvChunkReader::Make(dir);
+  ASSERT_TRUE(reader.status().IsIOError()) << reader.status().ToString();
+  EXPECT_EQ(reader.status().message(), expected);
+
+  const Result<ChunkedTable> chunked = ReadCsvFileChunked(dir);
+  ASSERT_TRUE(chunked.status().IsIOError()) << chunked.status().ToString();
+  EXPECT_EQ(chunked.status().message(), expected);
+  std::filesystem::remove(dir);
+}
+
+TEST(CsvTest, OpenQuoteAnywhereWinsOverRaggedRowInWholeText) {
+  // The ragged row comes first, but the whole-text reader reports the
+  // quote left open at the end, as the byte-at-a-time reader did.
+  const Result<Table> table = ReadCsvString("a,b\n1\n2,\"open\n");
+  EXPECT_EQ(table.status().message(), "CSV: unterminated quoted field");
+  EXPECT_EQ(ReadCsvString("a,b\n1\n2,3\n").status().message(),
+            "CSV: row 1 has 1 fields, expected 2");
+}
+
+TEST(CsvTest, QuotedFieldsAndTypesSurviveTheArena) {
+  // Quotes opened mid-field, "" escapes, and a quoted number that still
+  // types its column as int64.
+  const Table table =
+      ReadCsvString("s,n\nab\"c,d\"e,\"7\"\n\"x\"\"y\",-0\n").ValueOrDie();
+  EXPECT_EQ(table.schema().field(1).type, DataType::kInt64);
+  const Column* s = table.GetColumn("s").ValueOrDie();
+  EXPECT_EQ(s->GetString(0).ValueOrDie(), "abc,de");
+  EXPECT_EQ(s->GetString(1).ValueOrDie(), "x\"y");
+  EXPECT_EQ(table.GetColumn("n").ValueOrDie()->GetInt64(0).ValueOrDie(), 7);
+}
+
+TEST(CsvTest, NegativeZeroKeepsItsSignInDoubleColumns) {
+  const Table table = ReadCsvString("x\n-0\n0.5\n").ValueOrDie();
+  ASSERT_EQ(table.schema().field(0).type, DataType::kDouble);
+  const double zero = table.column(0).GetDouble(0).ValueOrDie();
+  EXPECT_EQ(zero, 0.0);
+  EXPECT_TRUE(std::signbit(zero));
 }
 
 }  // namespace

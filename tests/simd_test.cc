@@ -166,5 +166,36 @@ TEST(SimdTest, KernelsArePureFunctions) {
   EXPECT_EQ(first, second);
 }
 
+// The CSV tokenizer's kernel on bytes dense in the four structural
+// characters: the 64-byte kernel must equal the scalar reference at every
+// load offset (so every alignment), and the scalar tail of every length
+// must be the kernel's mask cut to that length.
+TEST(SimdTest, StructuralMaskMatchesScalarAtEveryOffsetAndTail) {
+  const char alphabet[] = {',', '\n', '\r', '"', ';', '\t', 'a',
+                           '0', ' ',  '\0', '\x80', '\xff', '|', '"'};
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(0x51a0 + seed);
+    std::vector<char> bytes(128);
+    for (char& b : bytes) b = alphabet[rng.UniformInt(sizeof(alphabet))];
+    for (const char delimiter : {',', ';', '\t', '|', '"', '\n'}) {
+      for (size_t offset = 0; offset < 64; ++offset) {
+        const char* p = bytes.data() + offset;
+        const uint64_t kernel = simd::StructuralMask(p, delimiter);
+        ASSERT_EQ(kernel, simd::scalar::StructuralMask(p, 64, delimiter))
+            << "seed=" << seed << " offset=" << offset
+            << " backend=" << simd::kBackendName;
+        for (size_t tail = 0; tail <= 64; ++tail) {
+          const uint64_t low =
+              tail == 64 ? ~uint64_t{0} : (uint64_t{1} << tail) - 1;
+          ASSERT_EQ(simd::scalar::StructuralMask(p, tail, delimiter),
+                    kernel & low)
+              << "seed=" << seed << " offset=" << offset
+              << " tail=" << tail;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fairlaw

@@ -1,55 +1,72 @@
 #include "audit/proxy.h"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
+#include <optional>
 
-#include "data/group_by.h"
-#include "stats/descriptive.h"
+#include "data/group_index.h"
+#include "stats/empirical.h"
 #include "stats/hypothesis.h"
 
 namespace fairlaw::audit {
 namespace {
 
+/// One column's rows as discrete bin codes in [0, arity).
+struct BinCodes {
+  std::vector<uint32_t> codes;
+  size_t arity = 0;
+};
+
 /// Maps each row to a discrete bin index for the candidate feature:
-/// categorical columns use their distinct values; numeric columns are cut
-/// at quantile boundaries.
-Result<std::pair<std::vector<size_t>, size_t>> DiscretizeColumn(
-    const data::Table& table, const std::string& name, size_t bins) {
+/// categorical columns use their first-seen keys (data::EncodeKeys);
+/// numeric columns are cut at quantile boundaries of one sorted copy.
+Result<BinCodes> DiscretizeColumn(const data::Table& table,
+                                  const std::string& name, size_t bins) {
   FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column, table.GetColumn(name));
   if (column->null_count() > 0) {
     return Status::Invalid("DetectProxies: column '" + name + "' has nulls");
   }
   if (column->type() == data::DataType::kString ||
       column->type() == data::DataType::kBool) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::vector<std::string> distinct,
-                             data::DistinctValues(table, name));
-    std::map<std::string, size_t> index_of;
-    for (size_t i = 0; i < distinct.size(); ++i) index_of[distinct[i]] = i;
-    std::vector<size_t> codes(column->size());
-    for (size_t row = 0; row < column->size(); ++row) {
-      codes[row] = index_of.at(column->ValueToString(row));
-    }
-    return std::make_pair(std::move(codes), distinct.size());
+    data::KeyCodes keys = data::EncodeKeys(*column);
+    return BinCodes{std::move(keys.codes), keys.dictionary.size()};
   }
 
   FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> values, column->ToDoubles());
   if (bins < 2) return Status::Invalid("DetectProxies: bins must be >= 2");
+  // NaN breaks the sort's strict weak ordering and an infinity
+  // interpolates to NaN, so either would corrupt the cuts silently.
+  if (!std::all_of(values.begin(), values.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    return Status::Invalid("DetectProxies: column '" + name +
+                           "' has non-finite values");
+  }
+  if (values.empty()) return Status::Invalid("Quantile of empty sample");
+  FAIRLAW_ASSIGN_OR_RETURN(stats::EmpiricalDistribution distribution,
+                           stats::EmpiricalDistribution::Make(values));
   // Quantile cut points; duplicates collapse for low-cardinality columns.
   std::vector<double> cuts;
   for (size_t b = 1; b < bins; ++b) {
-    FAIRLAW_ASSIGN_OR_RETURN(
-        double cut,
-        stats::Quantile(values,
-                        static_cast<double>(b) / static_cast<double>(bins)));
-    cuts.push_back(cut);
+    cuts.push_back(distribution.Quantile(static_cast<double>(b) /
+                                         static_cast<double>(bins)));
   }
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  std::vector<size_t> codes(values.size());
+  BinCodes binned{std::vector<uint32_t>(values.size()), cuts.size() + 1};
   for (size_t i = 0; i < values.size(); ++i) {
-    codes[i] = static_cast<size_t>(
+    binned.codes[i] = static_cast<uint32_t>(
         std::upper_bound(cuts.begin(), cuts.end(), values[i]) - cuts.begin());
   }
-  return std::make_pair(std::move(codes), cuts.size() + 1);
+  return binned;
+}
+
+std::vector<std::vector<int64_t>> Contingency(const BinCodes& feature,
+                                              const BinCodes& protected_attr) {
+  std::vector<std::vector<int64_t>> contingency(
+      feature.arity, std::vector<int64_t>(protected_attr.arity, 0));
+  for (size_t row = 0; row < feature.codes.size(); ++row) {
+    ++contingency[feature.codes[row]][protected_attr.codes[row]];
+  }
+  return contingency;
 }
 
 }  // namespace
@@ -57,18 +74,11 @@ Result<std::pair<std::vector<size_t>, size_t>> DiscretizeColumn(
 Result<std::vector<std::vector<int64_t>>> ProxyContingencyTable(
     const data::Table& table, const std::string& feature_column,
     const std::string& protected_column, size_t bins) {
-  FAIRLAW_ASSIGN_OR_RETURN(auto feature,
+  FAIRLAW_ASSIGN_OR_RETURN(BinCodes feature,
                            DiscretizeColumn(table, feature_column, bins));
-  FAIRLAW_ASSIGN_OR_RETURN(auto protected_attr,
+  FAIRLAW_ASSIGN_OR_RETURN(BinCodes protected_attr,
                            DiscretizeColumn(table, protected_column, bins));
-  const auto& [feature_codes, feature_arity] = feature;
-  const auto& [protected_codes, protected_arity] = protected_attr;
-  std::vector<std::vector<int64_t>> contingency(
-      feature_arity, std::vector<int64_t>(protected_arity, 0));
-  for (size_t row = 0; row < feature_codes.size(); ++row) {
-    ++contingency[feature_codes[row]][protected_codes[row]];
-  }
-  return contingency;
+  return Contingency(feature, protected_attr);
 }
 
 Result<std::vector<ProxyFinding>> DetectProxies(
@@ -84,14 +94,23 @@ Result<std::vector<ProxyFinding>> DetectProxies(
 
   std::vector<ProxyFinding> findings;
   findings.reserve(candidate_columns.size());
+  // Coded on first use, after the first candidate's own checks, so the
+  // error precedence matches ProxyContingencyTable's per candidate.
+  std::optional<BinCodes> protected_attr;
   for (const std::string& name : candidate_columns) {
     if (name == protected_column) {
       return Status::Invalid("DetectProxies: protected column listed among "
                              "candidates");
     }
-    FAIRLAW_ASSIGN_OR_RETURN(
-        auto contingency,
-        ProxyContingencyTable(table, name, protected_column, options.bins));
+    FAIRLAW_ASSIGN_OR_RETURN(BinCodes feature,
+                             DiscretizeColumn(table, name, options.bins));
+    if (!protected_attr.has_value()) {
+      FAIRLAW_ASSIGN_OR_RETURN(
+          protected_attr,
+          DiscretizeColumn(table, protected_column, options.bins));
+    }
+    const std::vector<std::vector<int64_t>> contingency =
+        Contingency(feature, *protected_attr);
     ProxyFinding finding;
     finding.feature = name;
     FAIRLAW_ASSIGN_OR_RETURN(finding.cramers_v, stats::CramersV(contingency));

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "base/string_util.h"
-#include "data/group_by.h"
+#include "data/group_index.h"
 #include "stats/distance.h"
 #include "stats/hypothesis.h"
 
@@ -37,14 +37,16 @@ Result<RepresentationReport> AuditRepresentation(
                            "zero");
   }
 
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<data::Group> groups,
-                           data::GroupBy(table, {column}));
+  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* group_column,
+                           table.GetColumn(column));
+  const data::KeyCodes keys = data::EncodeKeys(*group_column);
+  std::vector<int64_t> slot_counts(keys.dictionary.size(), 0);
+  for (uint32_t code : keys.codes) ++slot_counts[code];
   std::map<std::string, int64_t> counts;
-  int64_t total = 0;
-  for (const data::Group& group : groups) {
-    counts[group.key[0]] = static_cast<int64_t>(group.rows.size());
-    total += static_cast<int64_t>(group.rows.size());
+  for (size_t slot = 0; slot < slot_counts.size(); ++slot) {
+    counts[keys.dictionary.keys()[slot]] = slot_counts[slot];
   }
+  const auto total = static_cast<int64_t>(keys.codes.size());
   if (total == 0) return Status::Invalid("AuditRepresentation: empty table");
 
   // Both directions must agree on the category set.

@@ -15,35 +15,45 @@
 namespace fairlaw::audit {
 namespace {
 
-Result<AuditResult> RunChunked(const data::ChunkedTable& table,
+/// The error an audit of zero rows reports: a table of `schema` with no
+/// rows probes the column checks first, then fails as empty input.
+Status EmptyRunError(const data::Schema& schema, const AuditConfig& config) {
+  data::TableBuilder builder(schema);
+  FAIRLAW_ASSIGN_OR_RETURN(data::Table empty, builder.Finish());
+  return EmptyAuditError(empty, config);
+}
+
+/// Folds borrowed chunks (in row order) into one result. A whole Table
+/// is the one-chunk case, passed by reference with no copy.
+Result<AuditResult> RunChunked(const std::vector<const data::Table*>& chunks,
+                               const data::Schema& schema,
                                const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");
   obs::GetCounter("audit.runs")->Increment();
-  obs::GetCounter("audit.rows_audited")->Increment(table.num_rows());
+  size_t num_rows = 0;
+  for (const data::Table* chunk : chunks) num_rows += chunk->num_rows();
+  obs::GetCounter("audit.rows_audited")->Increment(num_rows);
   // Morsels may run on pool workers whose span stack is empty; capturing
   // the scheduling thread's path here and passing it to TraceSpan keeps
   // the exported span tree identical for every thread count.
   const std::string parent_path = obs::CurrentPath();
 
-  if (table.num_chunks() == 0) {
-    FAIRLAW_ASSIGN_OR_RETURN(data::Table empty, table.Materialize());
-    return EmptyAuditError(empty, config);
-  }
+  if (num_rows == 0) return EmptyRunError(schema, config);
 
-  obs::GetCounter("audit.morsels_scheduled")->Increment(table.num_chunks());
-  std::vector<ChunkPartial> partials(table.num_chunks());
-  if (config.num_threads == 1 || table.num_chunks() == 1) {
-    for (size_t i = 0; i < table.num_chunks(); ++i) {
-      partials[i] = ProcessChunk(table.chunk(i), config, parent_path);
+  obs::GetCounter("audit.morsels_scheduled")->Increment(chunks.size());
+  std::vector<ChunkPartial> partials(chunks.size());
+  if (config.num_threads == 1 || chunks.size() == 1) {
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      partials[i] = ProcessChunk(*chunks[i], config, parent_path);
     }
   } else {
     ThreadPool pool(config.num_threads == 0
                         ? 0
-                        : std::min(config.num_threads, table.num_chunks()));
-    pool.ParallelFor(table.num_chunks(),
-                     [&partials, &table, &config, &parent_path](size_t i) {
+                        : std::min(config.num_threads, chunks.size()));
+    pool.ParallelFor(chunks.size(),
+                     [&partials, &chunks, &config, &parent_path](size_t i) {
                        partials[i] =
-                           ProcessChunk(table.chunk(i), config, parent_path);
+                           ProcessChunk(*chunks[i], config, parent_path);
                      });
   }
   MergedPartials merged;
@@ -66,11 +76,7 @@ Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
       data::CsvChunkReader::Make(spec.path, reader_options));
   obs::GetCounter("audit.rows_audited")->Increment(reader.num_rows());
 
-  if (reader.num_rows() == 0) {
-    data::TableBuilder builder(reader.schema());
-    FAIRLAW_ASSIGN_OR_RETURN(data::Table empty, builder.Finish());
-    return EmptyAuditError(empty, config);
-  }
+  if (reader.num_rows() == 0) return EmptyRunError(reader.schema(), config);
 
   MergedPartials merged;
   if (config.num_threads == 1) {
@@ -129,13 +135,16 @@ Result<AuditResult> Auditor::Run(const AuditSource& source,
   struct Dispatch {
     const AuditConfig& config;
     Result<AuditResult> operator()(const data::Table* table) const {
+      if (config.chunk_rows == 0) {
+        return RunChunked({table}, table->schema(), config);
+      }
       FAIRLAW_ASSIGN_OR_RETURN(
           data::ChunkedTable chunked,
           data::ChunkedTable::FromTable(*table, config.chunk_rows));
-      return RunChunked(chunked, config);
+      return (*this)(&chunked);
     }
     Result<AuditResult> operator()(const data::ChunkedTable* table) const {
-      return RunChunked(*table, config);
+      return RunChunked(table->ChunkPointers(), table->schema(), config);
     }
     Result<AuditResult> operator()(const AuditSource::CsvSpec& spec) const {
       return RunCsv(spec, config);

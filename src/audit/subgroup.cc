@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <utility>
 
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "data/bitmap.h"
 #include "data/chunked.h"
-#include "data/group_by.h"
 #include "data/group_index.h"
 #include "obs/obs.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::audit {
 
@@ -85,6 +84,29 @@ void SortFindings(SubgroupAuditResult* result) {
                    });
 }
 
+/// The input checks every entry point runs first, in this order: the
+/// options, a non-empty attribute list, a non-empty table, and no
+/// attribute listed twice (a repeated column would pair each value with
+/// itself and count every conjunction twice).
+Status CheckAuditInputs(const std::vector<std::string>& attribute_columns,
+                        size_t num_rows, const SubgroupAuditOptions& options) {
+  FAIRLAW_RETURN_NOT_OK(options.Validate());
+  if (attribute_columns.empty()) {
+    return Status::Invalid("AuditSubgroups: no attribute columns");
+  }
+  if (num_rows == 0) return Status::Invalid("AuditSubgroups: empty table");
+  stats::KeyDictionary seen;
+  for (const std::string& name : attribute_columns) {
+    const size_t before = seen.size();
+    seen.Insert(name);
+    if (seen.size() == before) {
+      return Status::Invalid("AuditSubgroups: attribute column '" + name +
+                             "' is listed more than once");
+    }
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Bitmap enumerator.
 
@@ -101,11 +123,12 @@ struct KernelTally {
   }
 };
 
-/// The chunked analogue of data::AttributeIndex: the same first-seen
-/// value dictionary, with one chunk-spanning bitmap per value. Values
-/// absent from a chunk hold an all-zero bitmap there, so every value's
-/// ChunkedBitmap shares the table's chunk layout and the AND/popcount
-/// kernels never special-case absence.
+/// The chunk-spanning analogue of data::AttributeIndex: the same
+/// first-seen value dictionary, with one chunk-spanning bitmap per value.
+/// Values absent from a chunk hold an all-zero bitmap there, so every
+/// value's ChunkedBitmap shares the table's chunk layout and the
+/// AND/popcount kernels never special-case absence. A whole table is the
+/// one-chunk case.
 struct ChunkedAttributeIndex {
   std::string name;
   std::vector<std::string> values;
@@ -115,37 +138,33 @@ struct ChunkedAttributeIndex {
 /// Walks the conjunction lattice under one member set. `scratch` holds
 /// one preallocated bitmap per depth level, so the whole walk allocates
 /// nothing: the intersection for depth d is computed into (*scratch)[d]
-/// and its popcount falls out of the same pass (BitmapT::AndInto).
-///
-/// Templated over the index/bitmap pair — (data::AttributeIndex,
-/// data::Bitmap) for the contiguous path, (ChunkedAttributeIndex,
-/// data::ChunkedBitmap) for the morsel path — so both walks share every
-/// branch, visit order, and tally increment. One logical kernel call
-/// counts once in the tally however many chunks it spans, which keeps
-/// the kernel counters chunk-layout-invariant.
-template <typename AttributeT, typename BitmapT>
-void EnumerateBitmap(const std::vector<const AttributeT*>& attrs,
-                     const BitmapT& predictions, double overall_rate,
-                     size_t num_rows, const SubgroupAuditOptions& options,
+/// and its popcount falls out of the same pass (ChunkedBitmap::AndInto).
+/// One logical kernel call counts once in the tally however many chunks
+/// it spans, which keeps the kernel counters chunk-layout-invariant.
+void EnumerateBitmap(const std::vector<ChunkedAttributeIndex>& attrs,
+                     const data::ChunkedBitmap& predictions,
+                     double overall_rate, size_t num_rows,
+                     const SubgroupAuditOptions& options,
                      size_t next_attribute, int depth,
-                     const BitmapT& members, size_t member_count,
+                     const data::ChunkedBitmap& members, size_t member_count,
                      std::vector<std::pair<std::string, std::string>>*
                          conditions,
-                     std::vector<BitmapT>* scratch,
+                     std::vector<data::ChunkedBitmap>* scratch,
                      SubgroupAuditResult* result, KernelTally* tally) {
   if (depth > 0) {
-    const size_t positives = BitmapT::AndCount(members, predictions);
+    const size_t positives =
+        data::ChunkedBitmap::AndCount(members, predictions);
     ++tally->popcount_calls;
     RecordFinding(*conditions, member_count, positives, num_rows,
                   overall_rate, options, result);
   }
   if (depth >= options.max_depth) return;
   for (size_t a = next_attribute; a < attrs.size(); ++a) {
-    const AttributeT& attribute = *attrs[a];
+    const ChunkedAttributeIndex& attribute = attrs[a];
     for (size_t v = 0; v < attribute.values.size(); ++v) {
-      BitmapT& narrowed = (*scratch)[static_cast<size_t>(depth)];
-      const size_t count =
-          BitmapT::AndInto(members, attribute.bitmaps[v], &narrowed);
+      data::ChunkedBitmap& narrowed = (*scratch)[static_cast<size_t>(depth)];
+      const size_t count = data::ChunkedBitmap::AndInto(
+          members, attribute.bitmaps[v], &narrowed);
       ++tally->popcount_calls;
       if (count == 0) {
         ++tally->pruned_subtrees;
@@ -169,15 +188,14 @@ struct SubtreeTask {
   size_t value;
 };
 
-template <typename AttributeT, typename BitmapT>
-SubgroupAuditResult RunSubtree(
-    const std::vector<const AttributeT*>& attrs,
-    const BitmapT& predictions, double overall_rate, size_t num_rows,
-    const SubgroupAuditOptions& options, const SubtreeTask& task,
-    KernelTally* tally) {
+SubgroupAuditResult RunSubtree(const std::vector<ChunkedAttributeIndex>& attrs,
+                               const data::ChunkedBitmap& predictions,
+                               double overall_rate, size_t num_rows,
+                               const SubgroupAuditOptions& options,
+                               const SubtreeTask& task, KernelTally* tally) {
   SubgroupAuditResult result;
-  const AttributeT& attribute = *attrs[task.attribute];
-  const BitmapT& members = attribute.bitmaps[task.value];
+  const ChunkedAttributeIndex& attribute = attrs[task.attribute];
+  const data::ChunkedBitmap& members = attribute.bitmaps[task.value];
   const size_t count = members.Count();
   ++tally->popcount_calls;
   if (count == 0) return result;  // unreachable: index bitmaps are nonempty
@@ -185,7 +203,7 @@ SubgroupAuditResult RunSubtree(
       {attribute.name, attribute.values[task.value]}};
   // Depth d intersections land in scratch[d]; the root set itself is the
   // index bitmap, so levels 1..max_depth-1 suffice.
-  std::vector<BitmapT> scratch(
+  std::vector<data::ChunkedBitmap> scratch(
       static_cast<size_t>(options.max_depth) + 1);
   EnumerateBitmap(attrs, predictions, overall_rate, num_rows, options,
                   task.attribute + 1, /*depth=*/1, members, count,
@@ -202,26 +220,18 @@ void MergeResult(SubgroupAuditResult&& subtree, SubgroupAuditResult* total) {
   }
 }
 
-/// The full lattice walk over a prepared index: canonical subtree order,
+/// The full lattice walk over a merged index: canonical subtree order,
 /// per-subtree slots (serial or ThreadPool), merge in task order, obs
-/// counters, final sort. Shared by the contiguous and chunked entry
-/// points so their scheduling and bookkeeping cannot drift apart.
-template <typename AttributeT, typename BitmapT>
-SubgroupAuditResult RunLattice(const std::vector<AttributeT>& attributes,
-                               const BitmapT& predictions,
+/// counters, final sort.
+SubgroupAuditResult RunLattice(const std::vector<ChunkedAttributeIndex>& attrs,
+                               const data::ChunkedBitmap& predictions,
                                double overall_rate, size_t num_rows,
                                const SubgroupAuditOptions& options) {
-  std::vector<const AttributeT*> attrs;
-  attrs.reserve(attributes.size());
-  for (const AttributeT& attribute : attributes) {
-    attrs.push_back(&attribute);
-  }
-
   // Canonical subtree order: attributes in argument order, values in
   // first-seen order — the order the serial walk visits them.
   std::vector<SubtreeTask> tasks;
   for (size_t a = 0; a < attrs.size(); ++a) {
-    for (size_t v = 0; v < attrs[a]->values.size(); ++v) {
+    for (size_t v = 0; v < attrs[a].values.size(); ++v) {
       tasks.push_back(SubtreeTask{a, v});
     }
   }
@@ -261,45 +271,12 @@ SubgroupAuditResult RunLattice(const std::vector<AttributeT>& attributes,
 }
 
 // ---------------------------------------------------------------------------
-// Shared column extraction / validation.
-
-struct PreparedAudit {
-  data::GroupIndex index;
-  data::Bitmap predictions;
-  double overall_rate = 0.0;
-  size_t num_rows = 0;
-};
-
-Result<PreparedAudit> Prepare(const data::Table& table,
-                              const std::vector<std::string>& attribute_columns,
-                              const std::string& prediction_column,
-                              const SubgroupAuditOptions& options) {
-  FAIRLAW_RETURN_NOT_OK(options.Validate());
-  if (attribute_columns.empty()) {
-    return Status::Invalid("AuditSubgroups: no attribute columns");
-  }
-  if (table.num_rows() == 0) {
-    return Status::Invalid("AuditSubgroups: empty table");
-  }
-  PreparedAudit prepared;
-  prepared.num_rows = table.num_rows();
-  FAIRLAW_ASSIGN_OR_RETURN(
-      prepared.predictions,
-      data::GroupIndex::BinaryColumnBitmap(table, prediction_column));
-  prepared.overall_rate = static_cast<double>(prepared.predictions.Count()) /
-                          static_cast<double>(prepared.num_rows);
-  FAIRLAW_ASSIGN_OR_RETURN(prepared.index,
-                           data::GroupIndex::Build(table, attribute_columns));
-  return prepared;
-}
-
-// ---------------------------------------------------------------------------
 // Chunked (morsel-driven) preparation.
 
 /// Per-chunk indexing output: both extraction steps always run so the
-/// step-ranked error merge below can reproduce the contiguous path's
-/// error precedence (predictions are extracted before the index is
-/// built, and every step error is a row-independent string).
+/// step-ranked error merge below reproduces the serial error precedence
+/// (predictions are extracted before the index is built, and every step
+/// error is a row-independent string).
 struct ChunkIndexPartial {
   Status prediction_status;
   Status index_status;
@@ -325,6 +302,85 @@ ChunkIndexPartial IndexChunk(const data::Table& chunk,
   return partial;
 }
 
+/// The one subgroup audit body, over borrowed chunks in row order.
+/// Indexes every chunk independently (one morsel per chunk), merges the
+/// per-chunk value dictionaries in chunk order and walks the lattice on
+/// the chunk-spanning bitmaps.
+Result<SubgroupAuditResult> AuditChunks(
+    const std::vector<const data::Table*>& chunks,
+    const std::vector<std::string>& attribute_columns,
+    const std::string& prediction_column,
+    const SubgroupAuditOptions& options) {
+  obs::TraceSpan span("audit_subgroups");
+  const size_t num_chunks = chunks.size();
+  std::vector<size_t> chunk_sizes(num_chunks);
+  size_t num_rows = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    chunk_sizes[c] = chunks[c]->num_rows();
+    num_rows += chunk_sizes[c];
+  }
+  FAIRLAW_RETURN_NOT_OK(CheckAuditInputs(attribute_columns, num_rows, options));
+
+  // Morsel phase: every chunk is indexed independently.
+  std::vector<ChunkIndexPartial> partials(num_chunks);
+  auto index_chunk = [&](size_t c) {
+    partials[c] = IndexChunk(*chunks[c], attribute_columns, prediction_column);
+  };
+  if (options.num_threads == 1 || num_chunks <= 1) {
+    for (size_t c = 0; c < num_chunks; ++c) index_chunk(c);
+  } else {
+    ThreadPool pool(options.num_threads == 0
+                        ? 0
+                        : std::min(options.num_threads, num_chunks));
+    pool.ParallelFor(num_chunks, index_chunk);
+  }
+  // Step outranks chunk: a serial pass fails on the prediction column
+  // before it ever builds the index, so any chunk's prediction error
+  // beats any chunk's index error.
+  for (const ChunkIndexPartial& partial : partials) {
+    FAIRLAW_RETURN_NOT_OK(partial.prediction_status);
+  }
+  for (const ChunkIndexPartial& partial : partials) {
+    FAIRLAW_RETURN_NOT_OK(partial.index_status);
+  }
+
+  std::vector<data::Bitmap> prediction_chunks;
+  prediction_chunks.reserve(num_chunks);
+  for (ChunkIndexPartial& partial : partials) {
+    prediction_chunks.push_back(std::move(partial.predictions));
+  }
+  data::ChunkedBitmap predictions(std::move(prediction_chunks));
+  const double overall_rate = static_cast<double>(predictions.Count()) /
+                              static_cast<double>(num_rows);
+
+  // Merge the per-chunk value dictionaries in chunk order: each chunk's
+  // values are in its first-seen row order, so first-seen-across-chunks
+  // is exactly the whole-table first-seen order.
+  std::vector<ChunkedAttributeIndex> attributes(attribute_columns.size());
+  for (size_t a = 0; a < attribute_columns.size(); ++a) {
+    stats::KeyDictionary dictionary;
+    for (const ChunkIndexPartial& partial : partials) {
+      for (const std::string& value : partial.index.attributes()[a].values) {
+        dictionary.Insert(value);
+      }
+    }
+    ChunkedAttributeIndex& merged = attributes[a];
+    merged.name = attribute_columns[a];
+    merged.values = dictionary.keys();
+    merged.bitmaps.assign(merged.values.size(),
+                          data::ChunkedBitmap::AllZero(chunk_sizes));
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const data::AttributeIndex& local = partials[c].index.attributes()[a];
+      for (size_t v = 0; v < local.values.size(); ++v) {
+        *merged.bitmaps[dictionary.Find(local.values[v])].mutable_chunk(c) =
+            local.bitmaps[v];
+      }
+    }
+  }
+
+  return RunLattice(attributes, predictions, overall_rate, num_rows, options);
+}
+
 }  // namespace
 
 Result<SubgroupAuditResult> AuditSubgroups(
@@ -339,12 +395,8 @@ Result<SubgroupAuditResult> AuditSubgroups(
     return AuditSubgroups(chunked, attribute_columns, prediction_column,
                           options);
   }
-  obs::TraceSpan span("audit_subgroups");
-  FAIRLAW_ASSIGN_OR_RETURN(
-      PreparedAudit prepared,
-      Prepare(table, attribute_columns, prediction_column, options));
-  return RunLattice(prepared.index.attributes(), prepared.predictions,
-                    prepared.overall_rate, prepared.num_rows, options);
+  return AuditChunks({&table}, attribute_columns, prediction_column,
+                     options);
 }
 
 Result<SubgroupAuditResult> AuditSubgroups(
@@ -352,85 +404,8 @@ Result<SubgroupAuditResult> AuditSubgroups(
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column,
     const SubgroupAuditOptions& options) {
-  obs::TraceSpan span("audit_subgroups");
-  FAIRLAW_RETURN_NOT_OK(options.Validate());
-  if (attribute_columns.empty()) {
-    return Status::Invalid("AuditSubgroups: no attribute columns");
-  }
-  if (table.num_rows() == 0) {
-    return Status::Invalid("AuditSubgroups: empty table");
-  }
-
-  // Morsel phase: every chunk is indexed independently.
-  const size_t num_chunks = table.num_chunks();
-  std::vector<ChunkIndexPartial> partials(num_chunks);
-  auto index_chunk = [&](size_t c) {
-    partials[c] =
-        IndexChunk(table.chunk(c), attribute_columns, prediction_column);
-  };
-  if (options.num_threads == 1 || num_chunks <= 1) {
-    for (size_t c = 0; c < num_chunks; ++c) index_chunk(c);
-  } else {
-    ThreadPool pool(options.num_threads == 0
-                        ? 0
-                        : std::min(options.num_threads, num_chunks));
-    pool.ParallelFor(num_chunks, index_chunk);
-  }
-  // Step outranks chunk: the contiguous path fails on the prediction
-  // column before it ever builds the index, so any chunk's prediction
-  // error beats any chunk's index error.
-  for (const ChunkIndexPartial& partial : partials) {
-    FAIRLAW_RETURN_NOT_OK(partial.prediction_status);
-  }
-  for (const ChunkIndexPartial& partial : partials) {
-    FAIRLAW_RETURN_NOT_OK(partial.index_status);
-  }
-
-  std::vector<size_t> chunk_sizes(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_sizes[c] = table.chunk(c).num_rows();
-  }
-
-  std::vector<data::Bitmap> prediction_chunks;
-  prediction_chunks.reserve(num_chunks);
-  for (ChunkIndexPartial& partial : partials) {
-    prediction_chunks.push_back(std::move(partial.predictions));
-  }
-  data::ChunkedBitmap predictions(std::move(prediction_chunks));
-  const double overall_rate = static_cast<double>(predictions.Count()) /
-                              static_cast<double>(table.num_rows());
-
-  // Merge the per-chunk value dictionaries in chunk order: each chunk's
-  // values are in its first-seen row order, so first-seen-across-chunks
-  // is exactly the whole-table first-seen order.
-  std::vector<ChunkedAttributeIndex> attributes(attribute_columns.size());
-  for (size_t a = 0; a < attribute_columns.size(); ++a) {
-    ChunkedAttributeIndex& merged = attributes[a];
-    merged.name = attribute_columns[a];
-    std::map<std::string, size_t> global_of;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const data::AttributeIndex& local = partials[c].index.attributes()[a];
-      for (const std::string& value : local.values) {
-        auto [it, inserted] = global_of.try_emplace(value,
-                                                    merged.values.size());
-        if (inserted) merged.values.push_back(it->first);
-      }
-    }
-    merged.bitmaps.reserve(merged.values.size());
-    for (size_t v = 0; v < merged.values.size(); ++v) {
-      merged.bitmaps.push_back(data::ChunkedBitmap::AllZero(chunk_sizes));
-    }
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const data::AttributeIndex& local = partials[c].index.attributes()[a];
-      for (size_t v = 0; v < local.values.size(); ++v) {
-        *merged.bitmaps[global_of.at(local.values[v])].mutable_chunk(c) =
-            local.bitmaps[v];
-      }
-    }
-  }
-
-  return RunLattice(attributes, predictions, overall_rate, table.num_rows(),
-                    options);
+  return AuditChunks(table.ChunkPointers(), attribute_columns,
+                     prediction_column, options);
 }
 
 namespace {
@@ -490,13 +465,8 @@ Result<SubgroupAuditResult> AuditSubgroupsRowwise(
     const std::string& prediction_column,
     const SubgroupAuditOptions& options) {
   obs::TraceSpan span("audit_subgroups_rowwise");
-  FAIRLAW_RETURN_NOT_OK(options.Validate());
-  if (attribute_columns.empty()) {
-    return Status::Invalid("AuditSubgroups: no attribute columns");
-  }
-  if (table.num_rows() == 0) {
-    return Status::Invalid("AuditSubgroups: empty table");
-  }
+  FAIRLAW_RETURN_NOT_OK(
+      CheckAuditInputs(attribute_columns, table.num_rows(), options));
 
   FAIRLAW_ASSIGN_OR_RETURN(const data::Column* prediction_col,
                            table.GetColumn(prediction_column));
@@ -525,8 +495,7 @@ Result<SubgroupAuditResult> AuditSubgroupsRowwise(
     for (size_t row = 0; row < column->size(); ++row) {
       attribute.values[row] = column->ValueToString(row);
     }
-    FAIRLAW_ASSIGN_OR_RETURN(attribute.distinct,
-                             data::DistinctValues(table, name));
+    attribute.distinct = data::EncodeKeys(*column).dictionary.keys();
     attributes.push_back(std::move(attribute));
   }
 

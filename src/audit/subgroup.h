@@ -60,12 +60,13 @@ struct SubgroupAuditOptions {
   /// (in parallel when num_threads != 1), and the lattice walk runs on
   /// chunk-spanning bitmaps whose counts sum to the whole-table counts —
   /// so the findings are byte-identical for every chunk size. 0
-  /// (default) builds one contiguous index.
+  /// (default) indexes the whole table as one chunk, by reference.
   size_t chunk_rows = 0;
 
   /// Checks the options before the lattice walk: max_depth >= 1 and
-  /// tolerance in [0,1]. Both AuditSubgroups entry points call this
-  /// first, mirroring AuditConfig::Validate.
+  /// tolerance in [0,1]. Every AuditSubgroups entry point calls this
+  /// first, mirroring AuditConfig::Validate, then rejects an empty
+  /// attribute list, an empty table and an attribute listed twice.
   FAIRLAW_NODISCARD Status Validate() const;
 };
 
@@ -95,14 +96,15 @@ FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column, const SubgroupAuditOptions& options);
 
-/// Morsel-driven variant: indexes every chunk independently (one morsel
+/// Morsel-driven form, which the Table overload also runs (a whole table
+/// is the one-chunk case): indexes every chunk independently (one morsel
 /// per chunk on a base::ThreadPool when options.num_threads != 1), merges
 /// the per-chunk value dictionaries in chunk order — which reproduces the
-/// whole-table first-seen value order — and walks the same conjunction
+/// whole-table first-seen value order — and walks the conjunction
 /// lattice over data::ChunkedBitmap AND/popcount kernels. Per-chunk
-/// popcounts sum to the contiguous counts, so the findings (and the
-/// kernel counters) are byte-identical to the contiguous path for every
-/// chunk layout and thread count.
+/// popcounts sum to the whole-table counts, so the findings (and the
+/// kernel counters) are byte-identical for every chunk layout and thread
+/// count.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::ChunkedTable& table,
     const std::vector<std::string>& attribute_columns,

@@ -21,7 +21,7 @@
 #include "core/suite.h"             // IWYU pragma: export
 #include "core/version.h"           // IWYU pragma: export
 #include "data/csv.h"               // IWYU pragma: export
-#include "data/group_by.h"          // IWYU pragma: export
+#include "data/group_index.h"       // IWYU pragma: export
 #include "data/impute.h"            // IWYU pragma: export
 #include "data/table.h"             // IWYU pragma: export
 #include "legal/burden_shifting.h"  // IWYU pragma: export

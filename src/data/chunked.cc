@@ -41,6 +41,13 @@ Result<ChunkedTable> ChunkedTable::FromChunks(std::vector<Table> chunks) {
   return out;
 }
 
+std::vector<const Table*> ChunkedTable::ChunkPointers() const {
+  std::vector<const Table*> pointers;
+  pointers.reserve(chunks_.size());
+  for (const Table& chunk : chunks_) pointers.push_back(&chunk);
+  return pointers;
+}
+
 Status ChunkedTable::ForEachChunk(
     const std::function<Status(const Table&, size_t, size_t)>& fn) const {
   size_t row_offset = 0;

@@ -52,6 +52,11 @@ class ChunkedTable {
   const Table& chunk(size_t i) const { return chunks_[i]; }
   const std::vector<Table>& chunks() const { return chunks_; }
 
+  /// Borrowed pointers to the chunks in row order: the form the chunk
+  /// engines take, so a single `Table` joins them as the one-chunk list
+  /// `{&table}` without a copy.
+  std::vector<const Table*> ChunkPointers() const;
+
   /// Calls `fn(chunk, chunk_index, row_offset)` for every chunk in row
   /// order — the chunk-aware replacement for contiguous span views
   /// (`Column::Doubles()` etc. stay valid per chunk, never across

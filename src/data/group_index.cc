@@ -1,9 +1,31 @@
 #include "data/group_index.h"
 
-#include <map>
+#include <limits>
 #include <utility>
 
+#include "base/check.h"
+
 namespace fairlaw::data {
+
+KeyCodes EncodeKeys(const Column& column) {
+  FAIRLAW_CHECK_MSG(column.size() <= std::numeric_limits<uint32_t>::max(),
+                    "EncodeKeys: more rows than 32-bit codes address");
+  KeyCodes keys;
+  keys.codes.resize(column.size());
+  if (auto strings = column.Strings(); strings.ok()) {
+    const std::vector<std::string>& values = *strings.ValueOrDie();
+    for (size_t row = 0; row < values.size(); ++row) {
+      keys.codes[row] =
+          static_cast<uint32_t>(keys.dictionary.Insert(values[row]));
+    }
+    return keys;
+  }
+  for (size_t row = 0; row < column.size(); ++row) {
+    keys.codes[row] =
+        static_cast<uint32_t>(keys.dictionary.Insert(column.ValueToString(row)));
+  }
+  return keys;
+}
 
 Result<size_t> AttributeIndex::IndexOf(const std::string& value) const {
   for (size_t i = 0; i < values.size(); ++i) {
@@ -23,18 +45,13 @@ Result<GroupIndex> GroupIndex::Build(
   index.attributes_.reserve(attribute_columns.size());
   for (const std::string& name : attribute_columns) {
     FAIRLAW_ASSIGN_OR_RETURN(const Column* column, table.GetColumn(name));
+    const KeyCodes keys = EncodeKeys(*column);
     AttributeIndex attribute;
     attribute.name = name;
-    std::map<std::string, size_t> index_of;
-    for (size_t row = 0; row < column->size(); ++row) {
-      std::string value = column->ValueToString(row);
-      auto [it, inserted] = index_of.try_emplace(std::move(value),
-                                                 attribute.values.size());
-      if (inserted) {
-        attribute.values.push_back(it->first);
-        attribute.bitmaps.emplace_back(index.num_rows_);
-      }
-      attribute.bitmaps[it->second].Set(row);
+    attribute.values = keys.dictionary.keys();
+    attribute.bitmaps.assign(attribute.values.size(), Bitmap(index.num_rows_));
+    for (size_t row = 0; row < keys.codes.size(); ++row) {
+      attribute.bitmaps[keys.codes[row]].Set(row);
     }
     index.attributes_.push_back(std::move(attribute));
   }

@@ -1,18 +1,37 @@
 #ifndef FAIRLAW_DATA_GROUP_INDEX_H_
 #define FAIRLAW_DATA_GROUP_INDEX_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "base/result.h"
 #include "data/bitmap.h"
 #include "data/table.h"
+#include "stats/mergeable.h"
 
 namespace fairlaw::data {
 
+/// A column's rows as dense first-seen group codes: `codes[row]` is the
+/// slot of the row's key in `dictionary`, and the dictionary holds each
+/// distinct key once, in the order its first row appears.
+struct KeyCodes {
+  std::vector<uint32_t> codes;
+  stats::KeyDictionary dictionary;
+};
+
+/// The one rule by which a column's rows become group keys. Two rows
+/// share a code iff their Column::ValueToString renderings are equal:
+/// doubles group at FormatDouble(x, 6) (not by bit pattern), and a null
+/// shares the slot of a literal "null" string. Null-free string columns
+/// insert their stored strings without a per-row copy. Every table-level
+/// group-by (GroupIndex, proxy detection, representation and subgroup
+/// audits) derives its groups here.
+KeyCodes EncodeKeys(const Column& column);
+
 /// Bitmap partition of one attribute column: every distinct value (in
-/// first-seen row order, matching DistinctValues) with the bitmap of the
-/// rows holding it. The bitmaps are disjoint and cover all rows.
+/// first-seen row order, as EncodeKeys orders them) with the bitmap of
+/// the rows holding it. The bitmaps are disjoint and cover all rows.
 struct AttributeIndex {
   std::string name;
   std::vector<std::string> values;
@@ -34,8 +53,8 @@ struct AttributeIndex {
 /// a partition from string columns.
 class GroupIndex {
  public:
-  /// Indexes `attribute_columns` of `table` (values are compared as
-  /// rendered strings, nulls render as "null", matching GroupBy).
+  /// Indexes `attribute_columns` of `table`, grouping each column's rows
+  /// by EncodeKeys.
   FAIRLAW_NODISCARD static Result<GroupIndex> Build(
       const Table& table, const std::vector<std::string>& attribute_columns);
 

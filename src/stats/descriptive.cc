@@ -65,6 +65,10 @@ Result<double> Quantile(std::span<const double> values, double q) {
   }
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
+  return QuantileOfSorted(sorted, q);
+}
+
+double QuantileOfSorted(std::span<const double> sorted, double q) {
   const double position = q * static_cast<double>(sorted.size() - 1);
   const size_t lower = static_cast<size_t>(std::floor(position));
   const size_t upper = static_cast<size_t>(std::ceil(position));
@@ -120,9 +124,11 @@ Result<Summary> Summarize(std::span<const double> values) {
     summary.stddev = 0.0;
   }
   FAIRLAW_ASSIGN_OR_RETURN(summary.min, Min(values));
-  FAIRLAW_ASSIGN_OR_RETURN(summary.q25, Quantile(values, 0.25));
-  FAIRLAW_ASSIGN_OR_RETURN(summary.median, Quantile(values, 0.5));
-  FAIRLAW_ASSIGN_OR_RETURN(summary.q75, Quantile(values, 0.75));
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  summary.q25 = QuantileOfSorted(sorted, 0.25);
+  summary.median = QuantileOfSorted(sorted, 0.5);
+  summary.q75 = QuantileOfSorted(sorted, 0.75);
   FAIRLAW_ASSIGN_OR_RETURN(summary.max, Max(values));
   return summary;
 }

@@ -30,6 +30,12 @@ FAIRLAW_NODISCARD Result<double> Max(std::span<const double> values);
 /// sorted.
 FAIRLAW_NODISCARD Result<double> Quantile(std::span<const double> values, double q);
 
+/// The type-7 interpolation itself, on a sample already sorted
+/// ascending: the one copy of the formula, shared by Quantile, Summarize
+/// and EmpiricalDistribution::Quantile. Requires a non-empty `sorted`
+/// and `q` in [0, 1].
+double QuantileOfSorted(std::span<const double> sorted, double q);
+
 /// Median (Quantile at 0.5).
 FAIRLAW_NODISCARD Result<double> Median(std::span<const double> values);
 

@@ -1,7 +1,8 @@
 #include "stats/empirical.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "stats/descriptive.h"
 
 namespace fairlaw::stats {
 
@@ -22,12 +23,7 @@ double EmpiricalDistribution::Cdf(double x) const {
 }
 
 double EmpiricalDistribution::Quantile(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  const double position = q * static_cast<double>(sorted_.size() - 1);
-  const size_t lower = static_cast<size_t>(std::floor(position));
-  const size_t upper = static_cast<size_t>(std::ceil(position));
-  const double fraction = position - static_cast<double>(lower);
-  return sorted_[lower] + fraction * (sorted_[upper] - sorted_[lower]);
+  return QuantileOfSorted(sorted_, std::clamp(q, 0.0, 1.0));
 }
 
 Result<DiscreteDistribution> DiscreteDistribution::FromMasses(

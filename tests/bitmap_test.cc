@@ -138,7 +138,7 @@ TEST(GroupIndexTest, BuildsDisjointCoveringBitmapsInFirstSeenOrder) {
   EXPECT_EQ(index.num_rows(), 5u);
   const AttributeIndex* attribute =
       index.Attribute("g").ValueOrDie();
-  // First-seen order, matching DistinctValues / GroupBy.
+  // First-seen order, as EncodeKeys assigns codes.
   EXPECT_EQ(attribute->values, (std::vector<std::string>{"b", "a", "c"}));
   EXPECT_EQ(attribute->bitmaps[0].ToIndices(),
             (std::vector<size_t>{0, 2}));

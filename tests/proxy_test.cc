@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "audit/proxy.h"
 #include "data/column.h"
 #include "data/schema.h"
+#include "stats/empirical.h"
 #include "stats/rng.h"
 
 namespace fairlaw::audit {
@@ -114,6 +124,146 @@ TEST(ProxyDetectionTest, Validation) {
   options.flag_threshold = 2.0;
   EXPECT_FALSE(
       DetectProxies(table, "gender", {"strong_proxy"}, options).ok());
+}
+
+TEST(ProxyDetectionTest, NonFiniteNumericColumnIsInvalid) {
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double bad : kNonFinite) {
+    std::vector<double> values(200);
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = i % 7 == 3 ? bad : static_cast<double>(i);
+    }
+    data::Table table =
+        ProxyTable(200, 1.0, 0.0)
+            .AddColumn("tainted", data::Column::FromDoubles(values))
+            .ValueOrDie();
+    Status status =
+        DetectProxies(table, "gender", {"strong_proxy", "tainted"}).status();
+    EXPECT_TRUE(status.IsInvalid());
+    EXPECT_EQ(status.message(),
+              "DetectProxies: column 'tainted' has non-finite values");
+    EXPECT_FALSE(ProxyContingencyTable(table, "tainted", "gender", 10).ok());
+    // The bins check still comes first.
+    EXPECT_EQ(
+        ProxyContingencyTable(table, "tainted", "gender", 1).status().message(),
+        "DetectProxies: bins must be >= 2");
+  }
+}
+
+// The cut path before one-sort discretization: nine copy-and-sort type-7
+// quantiles per numeric column, copied here as the oracle.
+namespace nine_sort {
+
+double Quantile(std::span<const double> values, double q) {
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double position = q * static_cast<double>(sorted.size() - 1);
+  const size_t lower = static_cast<size_t>(std::floor(position));
+  const size_t upper = static_cast<size_t>(std::ceil(position));
+  const double fraction = position - static_cast<double>(lower);
+  return sorted[lower] + fraction * (sorted[upper] - sorted[lower]);
+}
+
+std::vector<double> Cuts(const std::vector<double>& values, size_t bins) {
+  std::vector<double> cuts;
+  for (size_t b = 1; b < bins; ++b) {
+    cuts.push_back(Quantile(values, static_cast<double>(b) /
+                                        static_cast<double>(bins)));
+  }
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+std::vector<std::vector<int64_t>> Contingency(
+    const std::vector<double>& feature, const std::vector<std::string>& group,
+    size_t bins) {
+  const std::vector<double> cuts = Cuts(feature, bins);
+  std::vector<std::string> distinct;
+  for (const std::string& g : group) {
+    if (std::find(distinct.begin(), distinct.end(), g) == distinct.end()) {
+      distinct.push_back(g);
+    }
+  }
+  std::vector<std::vector<int64_t>> contingency(
+      cuts.size() + 1, std::vector<int64_t>(distinct.size(), 0));
+  for (size_t i = 0; i < feature.size(); ++i) {
+    const auto bin = static_cast<size_t>(
+        std::upper_bound(cuts.begin(), cuts.end(), feature[i]) -
+        cuts.begin());
+    const auto column = static_cast<size_t>(
+        std::find(distinct.begin(), distinct.end(), group[i]) -
+        distinct.begin());
+    ++contingency[bin][column];
+  }
+  return contingency;
+}
+
+}  // namespace nine_sort
+
+TEST(ProxyTest, OneSortCutsMatchTheNineSortPath) {
+  Rng rng(29);
+  const size_t n = 257;
+  std::vector<std::string> group(n);
+  for (std::string& g : group) {
+    g = rng.Bernoulli(0.4) ? "a" : (rng.Bernoulli(0.5) ? "b" : "c");
+  }
+  // Ties, a constant column, 2- and 3-valued columns, a continuous one.
+  std::vector<std::vector<double>> features(5, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    features[0][i] = static_cast<double>(rng.UniformInt(6)) * 0.5;
+    features[1][i] = 3.25;
+    features[2][i] = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+    features[3][i] = static_cast<double>(rng.UniformInt(3)) - 1.0;
+    features[4][i] = rng.Normal(0.0, 2.0);
+  }
+  for (size_t f = 0; f < features.size(); ++f) {
+    for (size_t bins : {2u, 3u, 10u, 64u}) {
+      SCOPED_TRACE("feature " + std::to_string(f) + " bins " +
+                   std::to_string(bins));
+      const std::vector<double>& values = features[f];
+      stats::EmpiricalDistribution distribution =
+          stats::EmpiricalDistribution::Make(values).ValueOrDie();
+      std::vector<double> cuts;
+      for (size_t b = 1; b < bins; ++b) {
+        cuts.push_back(distribution.Quantile(static_cast<double>(b) /
+                                             static_cast<double>(bins)));
+      }
+      cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+      const std::vector<double> oracle_cuts = nine_sort::Cuts(values, bins);
+      ASSERT_EQ(cuts.size(), oracle_cuts.size());
+      for (size_t c = 0; c < cuts.size(); ++c) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(cuts[c]),
+                  std::bit_cast<uint64_t>(oracle_cuts[c]));
+      }
+
+      data::Schema schema =
+          data::Schema::Make({{"group", data::DataType::kString},
+                              {"feature", data::DataType::kDouble}})
+              .ValueOrDie();
+      data::Table table =
+          data::Table::Make(schema, {data::Column::FromStrings(group),
+                                     data::Column::FromDoubles(values)})
+              .ValueOrDie();
+      EXPECT_EQ(ProxyContingencyTable(table, "feature", "group", bins)
+                    .ValueOrDie(),
+                nine_sort::Contingency(values, group, bins));
+    }
+  }
+}
+
+TEST(ProxyTest, EmptyNumericColumnStillFailsAsAnEmptyQuantile) {
+  data::Schema schema =
+      data::Schema::Make({{"group", data::DataType::kString},
+                          {"feature", data::DataType::kDouble}})
+          .ValueOrDie();
+  data::Table table = data::Table::Make(schema, {data::Column::FromStrings({}),
+                                                 data::Column::FromDoubles({})})
+                          .ValueOrDie();
+  EXPECT_EQ(
+      ProxyContingencyTable(table, "feature", "group", 10).status().message(),
+      "Quantile of empty sample");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/subgroup.h"
+#include "data/chunked.h"
 #include "data/csv.h"
 #include "stats/rng.h"
 
@@ -110,6 +111,46 @@ TEST(SubgroupAuditTest, Validation) {
   bad_tolerance.tolerance = -0.1;
   EXPECT_FALSE(bad_tolerance.Validate().ok());
   EXPECT_TRUE(SubgroupAuditOptions{}.Validate().ok());
+}
+
+TEST(SubgroupAuditTest, RepeatedAttributeIsInvalidOnEveryEntryPoint) {
+  data::Table table = GerrymanderedTable();
+  data::ChunkedTable chunked =
+      data::ChunkedTable::FromTable(table, 64).ValueOrDie();
+  const std::vector<std::string> repeated = {"gender", "race", "gender"};
+  const std::string expected =
+      "AuditSubgroups: attribute column 'gender' is listed more than once";
+  SubgroupAuditOptions options;
+  for (size_t chunk_rows : {0u, 100u}) {
+    options.chunk_rows = chunk_rows;
+    Status status = AuditSubgroups(table, repeated, "pred", options).status();
+    EXPECT_TRUE(status.IsInvalid());
+    EXPECT_EQ(status.message(), expected);
+  }
+  EXPECT_EQ(AuditSubgroups(chunked, repeated, "pred", options)
+                .status()
+                .message(),
+            expected);
+  EXPECT_EQ(AuditSubgroupsRowwise(table, repeated, "pred", options)
+                .status()
+                .message(),
+            expected);
+
+  // The option, attribute-list and empty-table checks come first; the
+  // repeat check precedes any column lookup.
+  SubgroupAuditOptions bad_depth;
+  bad_depth.max_depth = 0;
+  EXPECT_NE(AuditSubgroups(table, repeated, "pred", bad_depth)
+                .status()
+                .message(),
+            expected);
+  data::Table empty = data::ReadCsvString("gender,race,pred\n").ValueOrDie();
+  EXPECT_EQ(AuditSubgroups(empty, repeated, "pred", options).status().message(),
+            "AuditSubgroups: empty table");
+  EXPECT_EQ(AuditSubgroups(table, repeated, "missing", options)
+                .status()
+                .message(),
+            expected);
 }
 
 TEST(CountConjunctionsTest, MatchesExhaustiveEnumeration) {

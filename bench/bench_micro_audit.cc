@@ -6,8 +6,8 @@
 //   * with any --benchmark_* flag: the usual google-benchmark suite
 //     (audit cost vs chunk size on an in-memory table).
 //   * otherwise: a JSON harness that (1) streams generated CSVs of
-//     --rows and --big-rows rows through RunAuditCsv and records the
-//     peak-RSS growth between them — the count-metric path buffers
+//     --rows and --big-rows rows through the CSV audit source and
+//     records the peak-RSS growth between them — the count-metric path buffers
 //     O(window * chunk) rows, so a 10x bigger file must not grow the
 //     peak by more than a bounded slack; (2) measures streaming rows/sec
 //     and the serial-vs-parallel wall ratio at --threads workers; and
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/source.h"
 #include "base/json_writer.h"
 #include "base/string_util.h"
 #include "data/csv.h"
@@ -171,14 +172,17 @@ int RunHarness(const HarnessConfig& config) {
   // Memory legs first, so nothing the identity legs allocate can mask
   // the streaming engine's own peak.
   const audit::AuditConfig count_config = CountConfig();
+  const audit::AuditSource small_source =
+      audit::AuditSource::FromCsv(small_csv);
+  const audit::AuditSource big_source = audit::AuditSource::FromCsv(big_csv);
   const int64_t small_ns = BestOfNs(1, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAuditCsv(small_csv, count_config).ValueOrDie());
+        audit::Auditor::Run(small_source, count_config).ValueOrDie());
   });
   const double rss_after_small_mb = PeakRssMb();
   const int64_t big_ns = BestOfNs(1, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAuditCsv(big_csv, count_config).ValueOrDie());
+        audit::Auditor::Run(big_source, count_config).ValueOrDie());
   });
   const double rss_after_big_mb = PeakRssMb();
   const double rss_growth_mb = rss_after_big_mb - rss_after_small_mb;
@@ -187,7 +191,7 @@ int RunHarness(const HarnessConfig& config) {
   // Throughput: best-of-reps streaming audit of the small file.
   const int64_t stream_ns = BestOfNs(config.reps, [&] {
     benchmark::DoNotOptimize(
-        audit::RunAuditCsv(small_csv, count_config).ValueOrDie());
+        audit::Auditor::Run(small_source, count_config).ValueOrDie());
   });
   const double rows_per_sec = static_cast<double>(config.rows) /
                               (static_cast<double>(stream_ns) / 1e9);
@@ -235,7 +239,10 @@ int RunHarness(const HarnessConfig& config) {
   streaming_config.chunk_rows = 4096;
   streaming_config.num_threads = 2;
   const std::string streamed =
-      audit::RunAuditCsv(full_csv, streaming_config).ValueOrDie().Render();
+      audit::Auditor::Run(audit::AuditSource::FromCsv(full_csv),
+                          streaming_config)
+          .ValueOrDie()
+          .Render();
   const bool streaming_identical = streamed == reference;
 
   std::remove(small_csv.c_str());

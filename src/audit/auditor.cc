@@ -1,11 +1,13 @@
 #include "audit/auditor.h"
 
+#include <cstdint>
 #include <string_view>
-#include <utility>
+#include <vector>
 
 #include "audit/partials.h"
 #include "audit/source.h"
 #include "base/string_util.h"
+#include "data/group_index.h"
 
 namespace fairlaw::audit {
 
@@ -59,18 +61,44 @@ Status AuditConfig::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+/// Each row's key, read back from its code.
+std::vector<std::string> RowKeys(const data::KeyCodes& keys) {
+  std::vector<std::string> out(keys.codes.size());
+  for (size_t row = 0; row < keys.codes.size(); ++row) {
+    out[row] = keys.dictionary.keys()[keys.codes[row]];
+  }
+  return out;
+}
+
+/// Fills the 0/1 columns of `input` from the table.
+Status AddBinaryColumns(const data::Table& table,
+                        const std::string& prediction_column,
+                        const std::string& label_column,
+                        metrics::MetricInput* input) {
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<uint8_t> predictions,
+                           data::BinaryValues(table, prediction_column));
+  input->predictions.assign(predictions.begin(), predictions.end());
+  if (!label_column.empty()) {
+    FAIRLAW_ASSIGN_OR_RETURN(std::vector<uint8_t> labels,
+                             data::BinaryValues(table, label_column));
+    input->labels.assign(labels.begin(), labels.end());
+  }
+  return input->Validate(/*require_labels=*/false);
+}
+
+}  // namespace
+
 Result<metrics::MetricInput> MetricInputFromTable(
     const data::Table& table, const std::string& protected_column,
     const std::string& prediction_column, const std::string& label_column) {
+  FAIRLAW_ASSIGN_OR_RETURN(data::KeyCodes groups,
+                           AuditKeyCodes(table, protected_column));
   metrics::MetricInput input;
-  FAIRLAW_ASSIGN_OR_RETURN(input.groups,
-                           StringKeys(table, protected_column));
-  FAIRLAW_ASSIGN_OR_RETURN(input.predictions,
-                           BinaryColumn(table, prediction_column));
-  if (!label_column.empty()) {
-    FAIRLAW_ASSIGN_OR_RETURN(input.labels, BinaryColumn(table, label_column));
-  }
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
+  input.groups = RowKeys(groups);
+  FAIRLAW_RETURN_NOT_OK(
+      AddBinaryColumns(table, prediction_column, label_column, &input));
   return input;
 }
 
@@ -85,38 +113,17 @@ Result<metrics::MetricInput> MetricInputFromTableMulti(
   metrics::MetricInput input;
   FAIRLAW_ASSIGN_OR_RETURN(input.groups,
                            StrataFromTable(table, protected_columns));
-  FAIRLAW_ASSIGN_OR_RETURN(input.predictions,
-                           BinaryColumn(table, prediction_column));
-  if (!label_column.empty()) {
-    FAIRLAW_ASSIGN_OR_RETURN(input.labels, BinaryColumn(table, label_column));
-  }
-  FAIRLAW_RETURN_NOT_OK(input.Validate(/*require_labels=*/false));
+  FAIRLAW_RETURN_NOT_OK(
+      AddBinaryColumns(table, prediction_column, label_column, &input));
   return input;
 }
 
 Result<std::vector<std::string>> StrataFromTable(
     const data::Table& table,
     const std::vector<std::string>& strata_columns) {
-  if (strata_columns.empty()) {
-    return Status::Invalid("StrataFromTable: no strata columns");
-  }
-  std::vector<std::vector<std::string>> keys;
-  keys.reserve(strata_columns.size());
-  for (const std::string& name : strata_columns) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::vector<std::string> column_keys,
-                             StringKeys(table, name));
-    keys.push_back(std::move(column_keys));
-  }
-  std::vector<std::string> strata(table.num_rows());
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    std::string key;
-    for (size_t c = 0; c < keys.size(); ++c) {
-      if (c > 0) key += "|";
-      key += keys[c][row];
-    }
-    strata[row] = key;
-  }
-  return strata;
+  FAIRLAW_ASSIGN_OR_RETURN(data::KeyCodes strata,
+                           StrataCodes(table, strata_columns));
+  return RowKeys(strata);
 }
 
 std::string AuditResult::Render() const {
@@ -179,22 +186,6 @@ Result<const metrics::MetricReport*> AuditResult::Find(
 Result<AuditResult> RunAudit(const data::Table& table,
                              const AuditConfig& config) {
   return Auditor::Run(AuditSource::FromTable(table), config);
-}
-
-Result<AuditResult> RunAudit(const data::ChunkedTable& table,
-                             const AuditConfig& config) {
-  return Auditor::Run(AuditSource::FromChunked(table), config);
-}
-
-Result<AuditResult> RunAuditCsv(const std::string& path,
-                                const AuditConfig& config) {
-  return Auditor::Run(AuditSource::FromCsv(path), config);
-}
-
-Result<AuditResult> RunAuditCsv(const std::string& path,
-                                const AuditConfig& config,
-                                const data::CsvOptions& csv_options) {
-  return Auditor::Run(AuditSource::FromCsv(path, csv_options), config);
 }
 
 }  // namespace fairlaw::audit

@@ -1,39 +1,54 @@
 #include "audit/partials.h"
 
 #include <cstdint>
+#include <map>
 #include <utility>
 
-#include "metrics/fairness_metric.h"
 #include "obs/obs.h"
 
 namespace fairlaw::audit {
 
-Result<std::vector<int>> BinaryColumn(const data::Table& table,
-                                      const std::string& name) {
-  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column, table.GetColumn(name));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> values, column->ToDoubles());
-  std::vector<int> out(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != 0.0 && values[i] != 1.0) {
-      return Status::Invalid("column '" + name + "' must be binary 0/1");
-    }
-    out[i] = values[i] == 1.0 ? 1 : 0;
-  }
-  return out;
-}
-
-Result<std::vector<std::string>> StringKeys(const data::Table& table,
-                                            const std::string& name) {
+Result<data::KeyCodes> AuditKeyCodes(const data::Table& table,
+                                     const std::string& name) {
   FAIRLAW_ASSIGN_OR_RETURN(const data::Column* column, table.GetColumn(name));
   if (column->null_count() > 0) {
     return Status::Invalid("column '" + name + "' has nulls; audits require "
                            "explicit missing-value handling upstream");
   }
-  std::vector<std::string> out(column->size());
-  for (size_t i = 0; i < column->size(); ++i) {
-    out[i] = column->ValueToString(i);
+  return data::EncodeKeys(*column);
+}
+
+Result<data::KeyCodes> StrataCodes(
+    const data::Table& table, const std::vector<std::string>& strata_columns) {
+  if (strata_columns.empty()) {
+    return Status::Invalid("StrataFromTable: no strata columns");
   }
-  return out;
+  std::vector<data::KeyCodes> columns;
+  for (const std::string& name : strata_columns) {
+    FAIRLAW_ASSIGN_OR_RETURN(data::KeyCodes column, AuditKeyCodes(table, name));
+    columns.push_back(std::move(column));
+  }
+  if (columns.size() == 1) return std::move(columns[0]);
+  // Each distinct code tuple is rendered once, at its first row.
+  data::KeyCodes strata;
+  strata.codes.resize(table.num_rows());
+  std::map<std::vector<uint32_t>, uint32_t> slot_of;
+  std::vector<uint32_t> tuple(columns.size());
+  for (size_t row = 0; row < strata.codes.size(); ++row) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      tuple[c] = columns[c].codes[row];
+    }
+    const auto [it, inserted] = slot_of.try_emplace(tuple, 0);
+    if (inserted) {
+      std::string key = columns[0].dictionary.keys()[tuple[0]];
+      for (size_t c = 1; c < columns.size(); ++c) {
+        key += "|" + columns[c].dictionary.keys()[tuple[c]];
+      }
+      it->second = static_cast<uint32_t>(strata.dictionary.Insert(key));
+    }
+    strata.codes[row] = it->second;
+  }
+  return strata;
 }
 
 ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
@@ -41,79 +56,87 @@ ChunkPartial ProcessChunk(const data::Table& chunk, const AuditConfig& config,
   obs::TraceSpan span("audit_chunk", parent_path);
   obs::GetCounter("audit.chunks_processed")->Increment();
   ChunkPartial partial;
-  metrics::MetricInput input;
-  {
-    Result<std::vector<std::string>> groups =
-        StringKeys(chunk, config.protected_column);
-    partial.protected_status = groups.status();
-    if (groups.status().ok()) input.groups = std::move(groups).ValueOrDie();
-  }
-  {
-    Result<std::vector<int>> predictions =
-        BinaryColumn(chunk, config.prediction_column);
-    partial.prediction_status = predictions.status();
-    if (predictions.status().ok()) {
-      input.predictions = std::move(predictions).ValueOrDie();
-    }
-  }
-  if (!config.label_column.empty()) {
-    Result<std::vector<int>> labels = BinaryColumn(chunk, config.label_column);
-    partial.label_status = labels.status();
-    if (labels.status().ok()) input.labels = std::move(labels).ValueOrDie();
-  }
-  std::vector<double> scores;
-  if (!config.score_column.empty()) {
-    Result<const data::Column*> score_column =
-        chunk.GetColumn(config.score_column);
-    if (!score_column.status().ok()) {
-      partial.score_status = score_column.status();
+  const bool with_labels = !config.label_column.empty();
+  const bool with_scores = !config.score_column.empty();
+  const bool with_strata = !config.strata_columns.empty();
+
+  Result<data::KeyCodes> groups =
+      AuditKeyCodes(chunk, config.protected_column);
+  partial.step_status[kProtectedStep] = groups.status();
+  Result<std::vector<uint8_t>> predictions =
+      data::BinaryValues(chunk, config.prediction_column);
+  partial.step_status[kPredictionStep] = predictions.status();
+  Result<std::vector<uint8_t>> labels = std::vector<uint8_t>();
+  if (with_labels) labels = data::BinaryValues(chunk, config.label_column);
+  partial.step_status[kLabelStep] = labels.status();
+  Result<std::vector<double>> scores = std::vector<double>();
+  if (with_scores) {
+    Result<const data::Column*> column = chunk.GetColumn(config.score_column);
+    if (column.ok()) {
+      scores = (*column)->ToDoubles();
     } else {
-      Result<std::vector<double>> values =
-          std::move(score_column).ValueOrDie()->ToDoubles();
-      partial.score_status = values.status();
-      if (values.status().ok()) scores = std::move(values).ValueOrDie();
+      scores = column.status();
     }
   }
-  std::vector<std::string> strata;
-  if (!config.strata_columns.empty()) {
-    Result<std::vector<std::string>> chunk_strata =
-        StrataFromTable(chunk, config.strata_columns);
-    partial.strata_status = chunk_strata.status();
-    if (chunk_strata.status().ok()) {
-      strata = std::move(chunk_strata).ValueOrDie();
-    }
-  }
-  if (!partial.protected_status.ok() || !partial.prediction_status.ok() ||
-      !partial.label_status.ok() || !partial.score_status.ok() ||
-      !partial.strata_status.ok()) {
+  partial.step_status[kScoreStep] = scores.status();
+  Result<data::KeyCodes> strata = data::KeyCodes();
+  if (with_strata) strata = StrataCodes(chunk, config.strata_columns);
+  partial.step_status[kStrataStep] = strata.status();
+  if (!groups.ok() || !predictions.ok() || !labels.ok() || !scores.ok() ||
+      !strata.ok()) {
     return partial;
   }
 
-  partial.partition_status = input.Validate(/*require_labels=*/false);
-  if (!partial.partition_status.ok()) return partial;
-  metrics::AccumulateGroupCounts(input, &partial.counts);
-  for (size_t i = 0; i < strata.size(); ++i) {
-    partial.strata_counts.Stratum(strata[i])->AddRow(input.groups[i],
-                                                     input.predictions[i]);
+  // Accumulator slots follow code order, which is first-seen row order,
+  // so every row tallies by its code.
+  const data::KeyCodes& keys = *groups;
+  const std::vector<uint8_t>& preds = *predictions;
+  const std::vector<uint8_t>& ys = *labels;
+  const std::vector<std::string>& group_keys = keys.dictionary.keys();
+  for (const std::string& key : group_keys) partial.counts.KeyIndex(key);
+  for (size_t row = 0; row < keys.codes.size(); ++row) {
+    partial.counts.AddRow(keys.codes[row], preds[row],
+                          with_labels ? ys[row] : 0);
   }
-  if (!config.score_column.empty()) {
-    for (size_t i = 0; i < scores.size(); ++i) {
-      partial.score_series.Append(
-          partial.score_series.KeyIndex(input.groups[i]), scores[i],
-          static_cast<uint8_t>(input.labels[i]));
+  if (with_strata) {
+    // Each distinct (stratum, group) cell resolves its accumulator and
+    // slot once, at its first row; strata are inserted first so the
+    // accumulator pointers stay put.
+    const std::vector<std::string>& strata_keys = strata->dictionary.keys();
+    for (const std::string& key : strata_keys) {
+      partial.strata_counts.Stratum(key);
     }
-    partial.scores = std::move(scores);
+    std::map<std::pair<uint32_t, uint32_t>,
+             std::pair<stats::GroupCountsAccumulator*, size_t>>
+        cells;
+    for (size_t row = 0; row < keys.codes.size(); ++row) {
+      const uint32_t stratum = strata->codes[row];
+      const uint32_t group = keys.codes[row];
+      auto [it, inserted] = cells.try_emplace({stratum, group});
+      if (inserted) {
+        it->second.first =
+            partial.strata_counts.Stratum(strata_keys[stratum]);
+        it->second.second = it->second.first->KeyIndex(group_keys[group]);
+      }
+      it->second.first->AddRow(it->second.second, preds[row]);
+    }
+  }
+  if (with_scores) {
+    for (const std::string& key : group_keys) {
+      partial.score_series.KeyIndex(key);
+    }
+    for (size_t row = 0; row < keys.codes.size(); ++row) {
+      partial.score_series.Append(keys.codes[row], (*scores)[row], ys[row]);
+    }
+    partial.scores = std::move(*scores);
   }
   return partial;
 }
 
 void MergedPartials::Fold(ChunkPartial&& partial) {
-  RecordFirst(&protected_status_, partial.protected_status);
-  RecordFirst(&prediction_status_, partial.prediction_status);
-  RecordFirst(&label_status_, partial.label_status);
-  RecordFirst(&partition_status_, partial.partition_status);
-  RecordFirst(&score_status_, partial.score_status);
-  RecordFirst(&strata_status_, partial.strata_status);
+  for (size_t step = 0; step < kNumExtractionSteps; ++step) {
+    if (step_status_[step].ok()) step_status_[step] = partial.step_status[step];
+  }
   if (!FirstError().ok()) return;  // result discarded; skip the merge work
   counts_.MergeFrom(partial.counts);
   strata_counts_.MergeFrom(partial.strata_counts);
@@ -123,10 +146,8 @@ void MergedPartials::Fold(ChunkPartial&& partial) {
 }
 
 Status MergedPartials::FirstError() const {
-  for (const Status* status :
-       {&protected_status_, &prediction_status_, &label_status_,
-        &partition_status_, &score_status_, &strata_status_}) {
-    if (!status->ok()) return *status;
+  for (const Status& status : step_status_) {
+    if (!status.ok()) return status;
   }
   return Status::OK();
 }

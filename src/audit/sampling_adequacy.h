@@ -40,9 +40,17 @@ struct SamplingReport {
   std::string detail;
 };
 
-/// Assesses sample support for every protected group in `input`.
+/// Assesses sample support for every protected group in `input`:
+/// checks `options`, then metrics::ComputeGroupStats and
+/// AssessSamplingAdequacyFromStats.
 FAIRLAW_NODISCARD Result<SamplingReport> AssessSamplingAdequacy(
     const metrics::MetricInput& input,
+    const SamplingAdequacyOptions& options = {});
+
+/// The assessment over per-group counts, in the shape the metric
+/// `...FromStats` kernels take; shares are of the summed group counts.
+FAIRLAW_NODISCARD Result<SamplingReport> AssessSamplingAdequacyFromStats(
+    const std::vector<metrics::GroupStats>& stats,
     const SamplingAdequacyOptions& options = {});
 
 /// Sample size needed for a selection-rate CI of half-width `halfwidth`

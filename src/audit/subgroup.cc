@@ -493,6 +493,7 @@ Result<SubgroupAuditResult> AuditSubgroupsRowwise(
     attribute.name = name;
     attribute.values.resize(column->size());
     for (size_t row = 0; row < column->size(); ++row) {
+      // lint: allow-per-row-render (the oracle compares rendered cells)
       attribute.values[row] = column->ValueToString(row);
     }
     attribute.distinct = data::EncodeKeys(*column).dictionary.keys();

@@ -92,21 +92,20 @@ Result<SuiteReport> RunFairnessSuite(const data::Table& table,
     if (report.subgroups->any_violation) report.all_clear = false;
   }
 
-  FAIRLAW_ASSIGN_OR_RETURN(
-      metrics::MetricInput input,
-      audit::MetricInputFromTable(table, config.audit.protected_column,
-                                  config.audit.prediction_column,
-                                  config.audit.label_column));
+  // Both screens read the audit's merged tallies: the demographic
+  // parity report holds the per-group selection counts.
+  FAIRLAW_ASSIGN_OR_RETURN(const metrics::MetricReport* parity,
+                           report.audit.Find("demographic_parity"));
   if (config.check_sampling) {
     FAIRLAW_ASSIGN_OR_RETURN(
-        report.sampling,
-        audit::AssessSamplingAdequacy(input, config.sampling_options));
+        report.sampling, audit::AssessSamplingAdequacyFromStats(
+                             parity->groups, config.sampling_options));
     // Inadequate sampling is a warning about estimate quality, not a
     // fairness violation; it does not flip all_clear.
   }
   if (config.check_four_fifths) {
     FAIRLAW_ASSIGN_OR_RETURN(report.four_fifths,
-                             legal::FourFifthsTest(input));
+                             legal::FourFifthsFromStats(parity->groups));
     if (!report.four_fifths->passed) report.all_clear = false;
   }
   if (!config.population_shares.empty()) {

@@ -48,31 +48,6 @@ std::vector<const Table*> ChunkedTable::ChunkPointers() const {
   return pointers;
 }
 
-Status ChunkedTable::ForEachChunk(
-    const std::function<Status(const Table&, size_t, size_t)>& fn) const {
-  size_t row_offset = 0;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    FAIRLAW_RETURN_NOT_OK(fn(chunks_[i], i, row_offset));
-    row_offset += chunks_[i].num_rows();
-  }
-  return Status::OK();
-}
-
-Result<Table> ChunkedTable::Materialize() const {
-  TableBuilder builder(schema_);
-  for (const Table& chunk : chunks_) {
-    for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      std::vector<std::optional<Cell>> cells(chunk.num_columns());
-      for (size_t c = 0; c < chunk.num_columns(); ++c) {
-        if (!chunk.column(c).IsValid(r)) continue;
-        FAIRLAW_ASSIGN_OR_RETURN(cells[c], chunk.column(c).GetCell(r));
-      }
-      FAIRLAW_RETURN_NOT_OK(builder.AppendRowWithNulls(cells));
-    }
-  }
-  return builder.Finish();
-}
-
 ChunkedBitmap::ChunkedBitmap(std::vector<Bitmap> chunks)
     : chunks_(std::move(chunks)) {}
 

@@ -2,7 +2,6 @@
 #define FAIRLAW_DATA_CHUNKED_H_
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -50,22 +49,11 @@ class ChunkedTable {
   size_t num_rows() const { return num_rows_; }
   size_t num_chunks() const { return chunks_.size(); }
   const Table& chunk(size_t i) const { return chunks_[i]; }
-  const std::vector<Table>& chunks() const { return chunks_; }
 
   /// Borrowed pointers to the chunks in row order: the form the chunk
   /// engines take, so a single `Table` joins them as the one-chunk list
   /// `{&table}` without a copy.
   std::vector<const Table*> ChunkPointers() const;
-
-  /// Calls `fn(chunk, chunk_index, row_offset)` for every chunk in row
-  /// order — the chunk-aware replacement for contiguous span views
-  /// (`Column::Doubles()` etc. stay valid per chunk, never across
-  /// chunks). Stops at and returns the first non-OK status.
-  FAIRLAW_NODISCARD Status ForEachChunk(
-      const std::function<Status(const Table&, size_t, size_t)>& fn) const;
-
-  /// Concatenates the chunks back into one contiguous table.
-  FAIRLAW_NODISCARD Result<Table> Materialize() const;
 
  private:
   Schema schema_;

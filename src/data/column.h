@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "base/result.h"
-#include "data/bitmap.h"
 #include "data/schema.h"
 
 namespace fairlaw::data {
@@ -89,11 +88,6 @@ class Column {
   /// Returns a copy of rows [offset, offset+length) without materializing
   /// an index vector — the chunk-slicing fast path.
   FAIRLAW_NODISCARD Result<Column> Slice(size_t offset, size_t length) const;
-
-  /// Packs the validity mask into a bitmap (bit i set iff row i is
-  /// non-null), so chunk-level null queries run on the fused popcount
-  /// kernels instead of byte loops.
-  Bitmap ValidityBitmap() const;
 
   /// Renders the value at `row` ("null" for null slots) for previews.
   std::string ValueToString(size_t row) const;

@@ -721,7 +721,6 @@ CsvChunkReader::~CsvChunkReader() = default;
 
 const Schema& CsvChunkReader::schema() const { return impl_->schema; }
 size_t CsvChunkReader::num_rows() const { return impl_->num_rows; }
-size_t CsvChunkReader::rows_read() const { return impl_->rows_read; }
 
 Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path) {
   return Make(path, Options{});

@@ -82,9 +82,6 @@ class CsvChunkReader {
   /// Total data rows in the file (known after the inference pass).
   size_t num_rows() const;
 
-  /// Data rows emitted by Next() so far.
-  size_t rows_read() const;
-
   /// Parses and returns the next chunk (1..chunk_rows rows), or nullopt
   /// once the file is exhausted.
   FAIRLAW_NODISCARD Result<std::optional<Table>> Next();

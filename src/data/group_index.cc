@@ -1,5 +1,6 @@
 #include "data/group_index.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -25,6 +26,36 @@ KeyCodes EncodeKeys(const Column& column) {
         static_cast<uint32_t>(keys.dictionary.Insert(column.ValueToString(row)));
   }
   return keys;
+}
+
+Result<std::vector<uint8_t>> BinaryValues(const Table& table,
+                                          const std::string& name) {
+  FAIRLAW_ASSIGN_OR_RETURN(const Column* column, table.GetColumn(name));
+  if (column->null_count() > 0) {
+    return Status::Invalid("ToDoubles: column has nulls");
+  }
+  std::vector<uint8_t> flags(column->size());
+  bool binary = true;
+  const auto copy = [&flags, &binary](auto values) {
+    for (size_t row = 0; row < values.size(); ++row) {
+      binary = binary && (values[row] == 0 || values[row] == 1);
+      flags[row] = static_cast<uint8_t>(values[row] != 0);
+    }
+  };
+  if (auto ints = column->Int64s(); ints.ok()) {
+    copy(*ints);
+  } else if (auto doubles = column->Doubles(); doubles.ok()) {
+    copy(*doubles);
+  } else if (auto bools = column->Bools(); bools.ok()) {
+    std::transform(bools->begin(), bools->end(), flags.begin(),
+                   [](uint8_t b) { return static_cast<uint8_t>(b != 0); });
+  } else {
+    return Status::Invalid("ToDoubles: cannot convert string column");
+  }
+  if (!binary) {
+    return Status::Invalid("column '" + name + "' must be binary 0/1");
+  }
+  return flags;
 }
 
 Result<size_t> AttributeIndex::IndexOf(const std::string& value) const {
@@ -68,16 +99,9 @@ Result<const AttributeIndex*> GroupIndex::Attribute(
 
 Result<Bitmap> GroupIndex::BinaryColumnBitmap(const Table& table,
                                               const std::string& column) {
-  FAIRLAW_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(column));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> values, col->ToDoubles());
-  Bitmap bitmap(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != 0.0 && values[i] != 1.0) {
-      return Status::Invalid("column '" + column + "' must be binary 0/1");
-    }
-    if (values[i] == 1.0) bitmap.Set(i);
-  }
-  return bitmap;
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<uint8_t> flags,
+                           BinaryValues(table, column));
+  return Bitmap::FromBytes(flags);
 }
 
 }  // namespace fairlaw::data

@@ -29,6 +29,17 @@ struct KeyCodes {
 /// audits) derives its groups here.
 KeyCodes EncodeKeys(const Column& column);
 
+/// The one rule by which a column's rows become 0/1 flags (predictions,
+/// labels). int64 and bool columns are read in place (a bool byte is 1
+/// iff nonzero); double columns accept exactly 0.0 and 1.0. Invalid,
+/// checked in this order, on a missing column (the table's lookup
+/// error), nulls ("ToDoubles: column has nulls"), a string column
+/// ("ToDoubles: cannot convert string column"), and any other value
+/// ("column '<name>' must be binary 0/1"). Backs the audit fold,
+/// MetricInputFromTable and GroupIndex::BinaryColumnBitmap.
+FAIRLAW_NODISCARD Result<std::vector<uint8_t>> BinaryValues(
+    const Table& table, const std::string& name);
+
 /// Bitmap partition of one attribute column: every distinct value (in
 /// first-seen row order, as EncodeKeys orders them) with the bitmap of
 /// the rows holding it. The bitmaps are disjoint and cover all rows.
@@ -64,9 +75,8 @@ class GroupIndex {
   /// The indexed attribute named `name`; NotFound when absent.
   FAIRLAW_NODISCARD Result<const AttributeIndex*> Attribute(const std::string& name) const;
 
-  /// Packs a 0/1 column (double/int64/bool) into a bitmap; Invalid on
-  /// non-binary values or nulls. Usable standalone for prediction/label
-  /// columns.
+  /// Packs a 0/1 column into a bitmap: BinaryValues, with its errors,
+  /// set bit by bit. Usable standalone for prediction/label columns.
   FAIRLAW_NODISCARD static Result<Bitmap> BinaryColumnBitmap(const Table& table,
                                            const std::string& column);
 

@@ -4,14 +4,30 @@
 
 namespace fairlaw::legal {
 
-Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
-                                        double threshold, double alpha) {
+namespace {
+
+Status CheckThreshold(double threshold) {
   if (threshold <= 0.0 || threshold > 1.0) {
     return Status::Invalid("FourFifthsTest: threshold must lie in (0,1]");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
+                                        double threshold, double alpha) {
+  FAIRLAW_RETURN_NOT_OK(CheckThreshold(threshold));
   FAIRLAW_ASSIGN_OR_RETURN(
       std::vector<metrics::GroupStats> stats,
       metrics::ComputeGroupStats(input, /*with_labels=*/false));
+  return FourFifthsFromStats(stats, threshold, alpha);
+}
+
+Result<FourFifthsResult> FourFifthsFromStats(
+    const std::vector<metrics::GroupStats>& stats, double threshold,
+    double alpha) {
+  FAIRLAW_RETURN_NOT_OK(CheckThreshold(threshold));
   if (stats.size() < 2) {
     return Status::Invalid("FourFifthsTest: need >= 2 groups");
   }
@@ -19,8 +35,8 @@ Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
   const metrics::GroupStats* reference = &stats[0];
   for (const metrics::GroupStats& gs : stats) {
     if (gs.count == 0) {
-      // ComputeGroupStats only materializes observed groups, so this is a
-      // library invariant, not user input.
+      // Tallies only materialize observed groups, so this is a library
+      // invariant, not user input.
       return Status::Internal("FourFifthsTest: empty group '" + gs.group +
                               "' in group stats");
     }

@@ -43,10 +43,19 @@ struct FourFifthsResult {
   std::string detail;
 };
 
-/// Runs the four-fifths screen over `input` (labels not required).
+/// Runs the four-fifths screen over `input` (labels not required):
+/// checks `threshold`, then metrics::ComputeGroupStats and
+/// FourFifthsFromStats.
 FAIRLAW_NODISCARD Result<FourFifthsResult> FourFifthsTest(const metrics::MetricInput& input,
                                         double threshold = 0.8,
                                         double alpha = 0.05);
+
+/// The screen over per-group selection counts, in the shape the metric
+/// `...FromStats` kernels take; the audit passes the merged tallies of
+/// its demographic_parity report, so no second pass over the rows runs.
+FAIRLAW_NODISCARD Result<FourFifthsResult> FourFifthsFromStats(
+    const std::vector<metrics::GroupStats>& stats, double threshold = 0.8,
+    double alpha = 0.05);
 
 /// Renders the screen as human-readable text.
 std::string RenderFourFifths(const FourFifthsResult& result);

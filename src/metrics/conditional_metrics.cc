@@ -20,7 +20,8 @@ FAIRLAW_NODISCARD Result<stats::StratifiedCountsAccumulator> TallyStrata(
   }
   stats::StratifiedCountsAccumulator counts;
   for (size_t i = 0; i < strata.size(); ++i) {
-    counts.Stratum(strata[i])->AddRow(input.groups[i], input.predictions[i]);
+    stats::GroupCountsAccumulator* stratum = counts.Stratum(strata[i]);
+    stratum->AddRow(stratum->KeyIndex(input.groups[i]), input.predictions[i]);
   }
   return counts;
 }

@@ -38,18 +38,13 @@ Status MetricInput::Validate(bool require_labels) const {
 Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
                                                   bool with_labels) {
   FAIRLAW_RETURN_NOT_OK(input.Validate(with_labels));
-  stats::GroupCountsAccumulator accumulator;
-  AccumulateGroupCounts(input, &accumulator);
-  return GroupStatsFromCounts(accumulator, with_labels);
-}
-
-void AccumulateGroupCounts(const MetricInput& input,
-                           stats::GroupCountsAccumulator* accumulator) {
+  stats::GroupCountsAccumulator counts;
   const bool has_labels = !input.labels.empty();
   for (size_t i = 0; i < input.size(); ++i) {
-    accumulator->AddRow(input.groups[i], input.predictions[i],
-                        has_labels ? input.labels[i] : 0);
+    counts.AddRow(counts.KeyIndex(input.groups[i]), input.predictions[i],
+                  has_labels ? input.labels[i] : 0);
   }
+  return GroupStatsFromCounts(counts, with_labels);
 }
 
 std::vector<GroupStats> GroupStatsFromCounts(

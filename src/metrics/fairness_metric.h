@@ -65,19 +65,12 @@ struct MetricReport {
 };
 
 /// Computes per-group statistics. `with_labels` toggles the Y-conditional
-/// fields; when true the input must carry labels. The rows are tallied
-/// by AccumulateGroupCounts and the rates derived by
-/// GroupStatsFromCounts — the whole table is the one-chunk case of the
-/// chunked audit, so both produce identical statistics.
+/// fields; when true the input must carry labels. Each row adds into its
+/// group's slot (GroupCountsAccumulator::AddRow) and the rates are
+/// derived by GroupStatsFromCounts — the whole input is the one-chunk
+/// case of the chunked audit, so both produce identical statistics.
 FAIRLAW_NODISCARD Result<std::vector<GroupStats>> ComputeGroupStats(const MetricInput& input,
                                                   bool with_labels);
-
-/// Tallies every row of `input` into `accumulator` (labels too, when
-/// present), groups in first-seen row order. `input` must already have
-/// passed Validate. The chunked audit calls this once per chunk and
-/// merges the per-chunk accumulators in chunk order.
-void AccumulateGroupCounts(const MetricInput& input,
-                           stats::GroupCountsAccumulator* accumulator);
 
 /// Derives GroupStats from chunk-merged integer tallies. Given an
 /// accumulator whose partials were merged in chunk order, this returns

@@ -52,11 +52,12 @@ Status WindowRing::Ingest(const Event& event) {
   Slot& slot = slots_[static_cast<size_t>(bucket % num_buckets_)];
   audit::WindowedPartial& partial = slot.partial;
 
-  partial.counts.AddRow(event.group, event.pred,
+  partial.counts.AddRow(partial.counts.KeyIndex(event.group), event.pred,
                         event.has_label ? event.label : 0);
   if (event.has_stratum) {
-    partial.strata_counts.Stratum(event.stratum)
-        ->AddRow(event.group, event.pred);
+    stats::GroupCountsAccumulator* stratum =
+        partial.strata_counts.Stratum(event.stratum);
+    stratum->AddRow(stratum->KeyIndex(event.group), event.pred);
   }
   if (event.has_score) {
     partial.sketches.Add(partial.sketches.KeyIndex(event.group),

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "data/column.h"
+#include "data/group_index.h"
 #include "mitigation/reweighing.h"
 #include "mitigation/threshold_optimizer.h"
 #include "ml/dataset.h"
@@ -40,18 +41,12 @@ Result<Pool> DrawPool(size_t n, double female_share, double label_bias,
   for (size_t i = 0; i < n; ++i) {
     FAIRLAW_ASSIGN_OR_RETURN(pool.genders[i], gender->GetString(i));
   }
-  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* hired,
-                           scenario.table.GetColumn("hired"));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> raw_hired, hired->ToDoubles());
-  FAIRLAW_ASSIGN_OR_RETURN(const data::Column* merit,
-                           scenario.table.GetColumn("merit"));
-  FAIRLAW_ASSIGN_OR_RETURN(std::vector<double> raw_merit, merit->ToDoubles());
-  pool.historical_labels.resize(n);
-  pool.merit.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    pool.historical_labels[i] = raw_hired[i] == 1.0 ? 1 : 0;
-    pool.merit[i] = raw_merit[i] == 1.0 ? 1 : 0;
-  }
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<uint8_t> hired,
+                           data::BinaryValues(scenario.table, "hired"));
+  FAIRLAW_ASSIGN_OR_RETURN(std::vector<uint8_t> merit,
+                           data::BinaryValues(scenario.table, "merit"));
+  pool.historical_labels.assign(hired.begin(), hired.end());
+  pool.merit.assign(merit.begin(), merit.end());
   return pool;
 }
 

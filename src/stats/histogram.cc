@@ -2,26 +2,12 @@
 
 #include <algorithm>
 
-#include "stats/descriptive.h"
-
 namespace fairlaw::stats {
 
 Result<Histogram> Histogram::Make(double lo, double hi, size_t bins) {
   if (!(lo < hi)) return Status::Invalid("Histogram: requires lo < hi");
   if (bins == 0) return Status::Invalid("Histogram: requires bins >= 1");
   return Histogram(lo, hi, bins);
-}
-
-Result<Histogram> Histogram::FromValues(std::span<const double> values,
-                                        size_t bins) {
-  FAIRLAW_ASSIGN_OR_RETURN(double lo, Min(values));
-  FAIRLAW_ASSIGN_OR_RETURN(double hi, Max(values));
-  if (lo == hi) {
-    return Status::Invalid("Histogram::FromValues: constant sample");
-  }
-  FAIRLAW_ASSIGN_OR_RETURN(Histogram hist, Make(lo, hi, bins));
-  hist.AddAll(values);
-  return hist;
 }
 
 size_t Histogram::BinIndex(double value) const {

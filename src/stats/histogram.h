@@ -21,11 +21,6 @@ class Histogram {
   /// Creates an empty histogram. Requires lo < hi and bins >= 1.
   FAIRLAW_NODISCARD static Result<Histogram> Make(double lo, double hi, size_t bins);
 
-  /// Creates a histogram spanning the min/max of `values` and adds them.
-  /// Requires a non-empty, non-constant sample.
-  FAIRLAW_NODISCARD static Result<Histogram> FromValues(std::span<const double> values,
-                                      size_t bins);
-
   /// Adds one observation (clamped into range) with the given weight.
   void Add(double value, double weight = 1.0);
 

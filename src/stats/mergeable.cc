@@ -21,13 +21,12 @@ size_t GroupCountsAccumulator::KeyIndex(std::string_view key) {
   return slot;
 }
 
-void GroupCountsAccumulator::AddRow(std::string_view key, int prediction,
-                                    int label) {
-  GroupCounts& slot = counts_[KeyIndex(key)];
-  slot.count += 1;
-  slot.positive_predictions += prediction;
-  slot.actual_positives += label;
-  slot.true_positives += prediction & label;
+void GroupCountsAccumulator::AddRow(size_t slot, int prediction, int label) {
+  GroupCounts& tally = counts_[slot];
+  tally.count += 1;
+  tally.positive_predictions += prediction;
+  tally.actual_positives += label;
+  tally.true_positives += prediction & label;
 }
 
 void GroupCountsAccumulator::MergeFrom(const GroupCountsAccumulator& other) {

@@ -80,12 +80,12 @@ class GroupCountsAccumulator {
   /// absent.
   size_t FindKey(std::string_view key) const { return keys_.Find(key); }
 
-  /// Tallies one row into `key`'s slot. This is the single row -> tally
-  /// step: the metric inputs, the audit's chunk fold and the serve
-  /// window all reduce rows through it. `prediction` and `label` are
-  /// 0/1; a row without a label, or a fold that keeps no label tallies,
-  /// passes label 0.
-  void AddRow(std::string_view key, int prediction, int label = 0);
+  /// Tallies one row into `slot` (from KeyIndex). This is the single
+  /// row -> tally step: the metric inputs, the audit's chunk fold (by
+  /// key code) and the serve window all reduce rows through it.
+  /// `prediction` and `label` are 0/1; a row without a label, or a fold
+  /// that keeps no label tallies, passes label 0.
+  void AddRow(size_t slot, int prediction, int label = 0);
 
   /// Folds `other` in: other's keys are appended in their first-seen
   /// order, existing keys accumulate. Calling MergeFrom over chunk

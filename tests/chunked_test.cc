@@ -15,12 +15,18 @@
 #include <vector>
 
 #include "audit/auditor.h"
-#include "base/string_util.h"
+#include "audit/report_io.h"
+#include "audit/source.h"
 #include "audit/subgroup.h"
+#include "base/string_util.h"
 #include "data/bitmap.h"
 #include "data/chunked.h"
 #include "data/csv.h"
 #include "data/table.h"
+#include "metrics/calibration_metric.h"
+#include "metrics/conditional_metrics.h"
+#include "metrics/fairness_metric.h"
+#include "metrics/group_metrics.h"
 #include "stats/distance.h"
 #include "stats/rng.h"
 #include "stats/sort.h"
@@ -33,6 +39,7 @@ using audit::AuditResult;
 using audit::SubgroupAuditOptions;
 using audit::SubgroupAuditResult;
 using data::ChunkedTable;
+using data::Column;
 using data::Table;
 using stats::Rng;
 
@@ -85,6 +92,24 @@ bool SameCells(const Table& a, const Table& b) {
   return true;
 }
 
+/// The chunks of `chunked`, read in row order, hold the cells of `whole`.
+bool SameCells(const Table& whole, const ChunkedTable& chunked) {
+  if (!(chunked.schema() == whole.schema()) ||
+      chunked.num_rows() != whole.num_rows()) {
+    return false;
+  }
+  size_t offset = 0;
+  for (size_t c = 0; c < chunked.num_chunks(); ++c) {
+    const Table& chunk = chunked.chunk(c);
+    if (!SameCells(whole.Slice(offset, chunk.num_rows()).ValueOrDie(),
+                   chunk)) {
+      return false;
+    }
+    offset += chunk.num_rows();
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // ChunkedTable substrate.
 
@@ -104,8 +129,7 @@ TEST(ChunkedTableTest, BoundarySizesSplitAndRoundTrip) {
       total += chunked.chunk(c).num_rows();
     }
     EXPECT_EQ(total, rows);
-    Table back = chunked.Materialize().ValueOrDie();
-    EXPECT_TRUE(SameCells(table, back)) << "rows=" << rows;
+    EXPECT_TRUE(SameCells(table, chunked)) << "rows=" << rows;
   }
 }
 
@@ -115,9 +139,8 @@ TEST(ChunkedTableTest, ZeroRowTableKeepsSchemaWithZeroChunks) {
   EXPECT_EQ(chunked.num_chunks(), 0u);
   EXPECT_EQ(chunked.num_rows(), 0u);
   EXPECT_TRUE(chunked.schema().HasField("g"));
-  Table back = chunked.Materialize().ValueOrDie();
-  EXPECT_EQ(back.num_rows(), 0u);
-  EXPECT_EQ(back.num_columns(), 2u);
+  EXPECT_EQ(chunked.schema().num_fields(), 2u);
+  EXPECT_TRUE(SameCells(table, chunked));
 }
 
 TEST(ChunkedTableTest, NullsStraddlingChunkEdgesSurvive) {
@@ -138,8 +161,7 @@ TEST(ChunkedTableTest, NullsStraddlingChunkEdgesSurvive) {
   EXPECT_FALSE(chunked.chunk(0).GetColumn("x").ValueOrDie()->IsValid(7));
   EXPECT_FALSE(chunked.chunk(1).GetColumn("x").ValueOrDie()->IsValid(1));
   EXPECT_TRUE(chunked.chunk(1).GetColumn("x").ValueOrDie()->IsValid(2));
-  Table back = chunked.Materialize().ValueOrDie();
-  EXPECT_TRUE(SameCells(table, back));
+  EXPECT_TRUE(SameCells(table, chunked));
 }
 
 TEST(ChunkedBitmapTest, KernelCountsMatchContiguousBitmap) {
@@ -209,8 +231,7 @@ TEST(CsvChunkReaderTest, MatchesWholeFileReadOnAwkwardFixtures) {
     for (size_t c = 0; c < chunked.num_chunks(); ++c) {
       EXPECT_LE(chunked.chunk(c).num_rows(), chunk_rows);
     }
-    Table back = chunked.Materialize().ValueOrDie();
-    EXPECT_TRUE(SameCells(whole, back)) << "chunk_rows=" << chunk_rows;
+    EXPECT_TRUE(SameCells(whole, chunked)) << "chunk_rows=" << chunk_rows;
   }
   std::remove(path.c_str());
 }
@@ -277,7 +298,9 @@ TEST(ChunkedAuditTest, StreamingCsvMatchesInMemoryAudit) {
       config.chunk_rows = chunk_rows;
       config.num_threads = threads;
       const std::string streamed =
-          audit::RunAuditCsv(path, config).ValueOrDie().Render();
+          audit::Auditor::Run(audit::AuditSource::FromCsv(path), config)
+              .ValueOrDie()
+              .Render();
       EXPECT_EQ(streamed, reference)
           << "chunk_rows=" << chunk_rows << " threads=" << threads;
     }
@@ -304,6 +327,14 @@ TEST(ChunkedAuditTest, ErrorsMatchContiguousPathForEveryChunkSize) {
     chunked.chunk_rows = chunk_rows;
     EXPECT_EQ(audit::RunAudit(table, chunked).status().message(), reference)
         << "chunk_rows=" << chunk_rows;
+    ChunkedTable sliced =
+        ChunkedTable::FromTable(table, chunk_rows).ValueOrDie();
+    EXPECT_EQ(audit::Auditor::Run(audit::AuditSource::FromChunked(sliced),
+                                  config)
+                  .status()
+                  .message(),
+              reference)
+        << "chunk_rows=" << chunk_rows;
   }
   // Empty input: the zero-chunk path reports the same error as the
   // contiguous extractor.
@@ -314,6 +345,311 @@ TEST(ChunkedAuditTest, ErrorsMatchContiguousPathForEveryChunkSize) {
   chunked.chunk_rows = 4;
   EXPECT_EQ(audit::RunAudit(empty, chunked).status().message(),
             empty_reference);
+}
+
+// ---------------------------------------------------------------------------
+// The codes fold against the row-wise metric forms.
+
+Column RandomFlagColumn(Rng* rng, size_t rows, double rate) {
+  const uint64_t type = rng->UniformInt(3);
+  std::vector<int64_t> ints(rows);
+  std::vector<uint8_t> bools(rows);
+  std::vector<double> doubles(rows);
+  for (size_t row = 0; row < rows; ++row) {
+    const bool one = rng->Bernoulli(rate);
+    ints[row] = one ? 1 : 0;
+    bools[row] = one ? 1 : 0;
+    doubles[row] = one ? 1.0 : (rng->Bernoulli(0.5) ? -0.0 : 0.0);
+  }
+  if (type == 0) return Column::FromInt64s(std::move(ints));
+  if (type == 1) return Column::FromBools(std::move(bools));
+  return Column::FromDoubles(std::move(doubles));
+}
+
+/// A seeded table: protected column `g` of `type` (values that render
+/// alike, -0.0/0.0, NaN and a literal "null" string included), string
+/// strata `s1`/`s2` whose values contain '|' ("a|b","c" and "a","b|c"
+/// join alike), 0/1 columns `p`/`y` of random binary types, score `s`.
+Table RandomFoldTable(uint64_t seed, data::DataType type, size_t rows) {
+  Rng rng(seed);
+  const char* strings[] = {"a", "b", "null", "a|b", "B"};
+  const int64_t ints[] = {-3, 0, 1, 42};
+  const double doubles[] = {0.0, -0.0, 1.5, 1.0, 1.0000001,
+                            std::numeric_limits<double>::quiet_NaN()};
+  const char* s1_values[] = {"a|b", "a", "x"};
+  const char* s2_values[] = {"c", "b|c", ""};
+  Column g(type);
+  std::vector<std::string> s1(rows);
+  std::vector<std::string> s2(rows);
+  std::vector<double> scores(rows);
+  for (size_t row = 0; row < rows; ++row) {
+    switch (type) {
+      case data::DataType::kString:
+        g.AppendString(strings[rng.UniformInt(5)]);
+        break;
+      case data::DataType::kInt64:
+        g.AppendInt64(ints[rng.UniformInt(4)]);
+        break;
+      case data::DataType::kBool:
+        g.AppendBool(rng.Bernoulli(0.4));
+        break;
+      case data::DataType::kDouble:
+        g.AppendDouble(doubles[rng.UniformInt(6)]);
+        break;
+    }
+    s1[row] = s1_values[rng.UniformInt(3)];
+    s2[row] = s2_values[rng.UniformInt(3)];
+    scores[row] = rng.Uniform();
+  }
+  Column p = RandomFlagColumn(&rng, rows, 0.5);
+  Column y = RandomFlagColumn(&rng, rows, 0.5);
+  data::Schema schema = data::Schema::Make({{"g", type},
+                                            {"s1", data::DataType::kString},
+                                            {"s2", data::DataType::kString},
+                                            {"p", p.type()},
+                                            {"y", y.type()},
+                                            {"s", data::DataType::kDouble}})
+                            .ValueOrDie();
+  return Table::Make(schema, {std::move(g), Column::FromStrings(std::move(s1)),
+                              Column::FromStrings(std::move(s2)),
+                              std::move(p), std::move(y),
+                              Column::FromDoubles(std::move(scores))})
+      .ValueOrDie();
+}
+
+/// The audit rebuilt from the row-wise MetricInput metric forms over
+/// MetricInputFromTable and StrataFromTable: extraction first, then the
+/// metrics in report order, the first error winning.
+Result<AuditResult> RowwiseAudit(const Table& table,
+                                 const AuditConfig& config) {
+  FAIRLAW_ASSIGN_OR_RETURN(
+      metrics::MetricInput input,
+      audit::MetricInputFromTable(table, config.protected_column,
+                                  config.prediction_column,
+                                  config.label_column));
+  std::vector<double> scores;
+  if (!config.score_column.empty()) {
+    FAIRLAW_ASSIGN_OR_RETURN(const Column* column,
+                             table.GetColumn(config.score_column));
+    FAIRLAW_ASSIGN_OR_RETURN(scores, column->ToDoubles());
+  }
+  std::vector<std::string> strata;
+  if (!config.strata_columns.empty()) {
+    FAIRLAW_ASSIGN_OR_RETURN(
+        strata, audit::StrataFromTable(table, config.strata_columns));
+  }
+  std::vector<Result<metrics::MetricReport>> reports;
+  reports.push_back(metrics::DemographicParity(input, config.tolerance));
+  reports.push_back(metrics::DemographicDisparity(input));
+  reports.push_back(
+      metrics::DisparateImpactRatio(input, config.di_threshold));
+  if (!config.label_column.empty()) {
+    reports.push_back(metrics::EqualOpportunity(input, config.tolerance));
+    reports.push_back(metrics::EqualizedOdds(input, config.tolerance));
+    reports.push_back(metrics::PredictiveParity(input, config.tolerance));
+    reports.push_back(metrics::AccuracyEquality(input, config.tolerance));
+  }
+  AuditResult result;
+  for (Result<metrics::MetricReport>& report : reports) {
+    FAIRLAW_ASSIGN_OR_RETURN(metrics::MetricReport value, std::move(report));
+    result.all_satisfied = result.all_satisfied && value.satisfied;
+    result.reports.push_back(std::move(value));
+  }
+  if (!config.score_column.empty()) {
+    FAIRLAW_ASSIGN_OR_RETURN(
+        result.calibration,
+        metrics::CalibrationWithinGroups(input.groups, input.labels, scores,
+                                         config.calibration_bins,
+                                         config.calibration_tolerance));
+    result.all_satisfied =
+        result.all_satisfied && result.calibration->satisfied;
+  }
+  if (!config.strata_columns.empty()) {
+    FAIRLAW_ASSIGN_OR_RETURN(
+        metrics::ConditionalReport parity,
+        metrics::ConditionalStatisticalParity(
+            input, strata, config.tolerance, config.min_stratum_size));
+    FAIRLAW_ASSIGN_OR_RETURN(
+        metrics::ConditionalReport disparity,
+        metrics::ConditionalDemographicDisparity(input, strata,
+                                                 config.min_stratum_size));
+    for (metrics::ConditionalReport* report : {&parity, &disparity}) {
+      result.all_satisfied = result.all_satisfied && report->satisfied;
+      result.conditional_reports.push_back(std::move(*report));
+    }
+  }
+  return result;
+}
+
+/// RunAudit at chunk_rows 0/1/7/64 against RowwiseAudit: equal JSON, or
+/// the same error message. Returns whether the oracle produced a report.
+bool ExpectFoldMatchesRowwise(const Table& table, AuditConfig config) {
+  const Result<AuditResult> oracle = RowwiseAudit(table, config);
+  for (size_t chunk_rows : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    config.chunk_rows = chunk_rows;
+    const Result<AuditResult> folded = audit::RunAudit(table, config);
+    EXPECT_EQ(folded.ok(), oracle.ok());
+    if (!folded.ok() || !oracle.ok()) {
+      EXPECT_EQ(folded.status().message(), oracle.status().message());
+      continue;
+    }
+    EXPECT_EQ(audit::AuditResultToJson(*folded).ValueOrDie(),
+              audit::AuditResultToJson(*oracle).ValueOrDie());
+  }
+  return oracle.ok();
+}
+
+TEST(ChunkedAuditTest, CodesFoldMatchesRowwiseMetricForms) {
+  const data::DataType kTypes[] = {data::DataType::kString,
+                                   data::DataType::kInt64,
+                                   data::DataType::kBool,
+                                   data::DataType::kDouble};
+  size_t compared = 0;
+  size_t reports = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    for (data::DataType type : kTypes) {
+      const Table table = RandomFoldTable(seed, type, 40 + seed * 7);
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " type=" +
+                   std::string(data::DataTypeToString(type)));
+      // The keys are the old per-row renderings: a row's group is its
+      // ValueToString, a stratum the '|'-join of its columns' renderings.
+      const metrics::MetricInput input =
+          audit::MetricInputFromTable(table, "g", "p", "").ValueOrDie();
+      const std::vector<std::string> strata =
+          audit::StrataFromTable(table, {"s1", "s2"}).ValueOrDie();
+      const Column& g = *table.GetColumn("g").ValueOrDie();
+      const Column& s1 = *table.GetColumn("s1").ValueOrDie();
+      const Column& s2 = *table.GetColumn("s2").ValueOrDie();
+      for (size_t row = 0; row < table.num_rows(); ++row) {
+        ASSERT_EQ(input.groups[row], g.ValueToString(row)) << "row " << row;
+        ASSERT_EQ(strata[row],
+                  s1.ValueToString(row) + "|" + s2.ValueToString(row))
+            << "row " << row;
+      }
+      for (int variant = 0; variant < 3; ++variant) {
+        AuditConfig config;
+        config.protected_column = "g";
+        config.prediction_column = "p";
+        if (variant >= 1) config.label_column = "y";
+        if (variant == 2) config.score_column = "s";
+        const size_t num_strata = (seed + static_cast<uint64_t>(variant)) % 3;
+        for (size_t c = 0; c < num_strata; ++c) {
+          config.strata_columns.push_back(c == 0 ? "s1" : "s2");
+        }
+        config.min_stratum_size = 3;
+        config.tolerance = 0.1;
+        if (ExpectFoldMatchesRowwise(table, config)) ++reports;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 24u * 4u * 3u);
+  // Most configurations must yield a full report, not a shared error.
+  EXPECT_GT(reports, compared * 3 / 4) << reports << " of " << compared;
+}
+
+TEST(ChunkedAuditTest, TuplesThatRenderAlikeShareOneStratum) {
+  // ("a|b","c") and ("a","b|c") both join to "a|b|c": one stratum.
+  data::Schema schema = data::Schema::Make({{"g", data::DataType::kString},
+                                            {"s1", data::DataType::kString},
+                                            {"s2", data::DataType::kString},
+                                            {"p", data::DataType::kInt64}})
+                            .ValueOrDie();
+  const Table table =
+      Table::Make(schema,
+                  {Column::FromStrings({"m", "f", "m", "f"}),
+                   Column::FromStrings({"a|b", "a", "a", "a|b"}),
+                   Column::FromStrings({"c", "b|c", "b|c", "c"}),
+                   Column::FromInt64s({1, 0, 1, 1})})
+          .ValueOrDie();
+  EXPECT_EQ(audit::StrataFromTable(table, {"s1", "s2"}).ValueOrDie(),
+            std::vector<std::string>(4, "a|b|c"));
+  AuditConfig config;
+  config.protected_column = "g";
+  config.prediction_column = "p";
+  config.strata_columns = {"s1", "s2"};
+  config.min_stratum_size = 1;
+  EXPECT_TRUE(ExpectFoldMatchesRowwise(table, config));
+  const AuditResult result = audit::RunAudit(table, config).ValueOrDie();
+  ASSERT_FALSE(result.conditional_reports.empty());
+  ASSERT_EQ(result.conditional_reports[0].strata.size(), 1u);
+  EXPECT_EQ(result.conditional_reports[0].strata[0].stratum, "a|b|c");
+}
+
+TEST(ChunkedAuditTest, NullAndNonBinaryCellsKeepTheirMessagesAtEveryChunkSize) {
+  // Each case breaks one cell of a clean 30-row table; the expected
+  // strings are the messages of the string-keyed fold.
+  struct Case {
+    const char* what;
+    size_t bad_row;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {"null group", 29,
+       "column 'g' has nulls; audits require explicit missing-value "
+       "handling upstream"},
+      {"null prediction", 12, "ToDoubles: column has nulls"},
+      {"non-binary prediction", 0, "column 'p' must be binary 0/1"},
+      {"string prediction", 5, "ToDoubles: cannot convert string column"},
+      {"non-binary label", 20, "column 'y' must be binary 0/1"},
+      {"null stratum", 7,
+       "column 's2' has nulls; audits require explicit missing-value "
+       "handling upstream"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.what);
+    const std::string what = c.what;
+    Column g(data::DataType::kString);
+    Column s1(data::DataType::kString);
+    Column s2(data::DataType::kString);
+    Column p(what == "string prediction" ? data::DataType::kString
+                                         : data::DataType::kInt64);
+    Column y(data::DataType::kDouble);
+    for (size_t row = 0; row < 30; ++row) {
+      const bool bad = row == c.bad_row;
+      if (bad && what == "null group") {
+        g.AppendNull();
+      } else {
+        g.AppendString(row % 3 == 0 ? "m" : "f");
+      }
+      s1.AppendString(row % 2 == 0 ? "x" : "y");
+      if (bad && what == "null stratum") {
+        s2.AppendNull();
+      } else {
+        s2.AppendString("z");
+      }
+      if (p.type() == data::DataType::kString) {
+        p.AppendString("1");
+      } else if (bad && what == "null prediction") {
+        p.AppendNull();
+      } else {
+        p.AppendInt64(bad && what == "non-binary prediction" ? 2 : row % 2);
+      }
+      y.AppendDouble(bad && what == "non-binary label" ? 0.5 : 1.0);
+    }
+    data::Schema schema = data::Schema::Make({{"g", g.type()},
+                                              {"s1", s1.type()},
+                                              {"s2", s2.type()},
+                                              {"p", p.type()},
+                                              {"y", y.type()}})
+                              .ValueOrDie();
+    const Table table =
+        Table::Make(schema, {std::move(g), std::move(s1), std::move(s2),
+                             std::move(p), std::move(y)})
+            .ValueOrDie();
+    AuditConfig config;
+    config.protected_column = "g";
+    config.prediction_column = "p";
+    config.label_column = "y";
+    config.strata_columns = {"s1", "s2"};
+    for (size_t chunk_rows : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+      config.chunk_rows = chunk_rows;
+      EXPECT_EQ(audit::RunAudit(table, config).status().message(), c.message)
+          << "chunk_rows=" << chunk_rows;
+    }
+    EXPECT_EQ(RowwiseAudit(table, config).status().message(), c.message);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -171,8 +171,9 @@ TEST(ConditionalMetricsTest, NegativeToleranceRejectedWhenEveryStratumSkipped) {
   EXPECT_EQ(rowwise.status().message(), expected);
 
   stats::StratifiedCountsAccumulator counts;
-  counts.Stratum("s")->AddRow("male", 1);
-  counts.Stratum("s")->AddRow("female", 0);
+  stats::GroupCountsAccumulator* stratum = counts.Stratum("s");
+  stratum->AddRow(stratum->KeyIndex("male"), 1);
+  stratum->AddRow(stratum->KeyIndex("female"), 0);
   Result<ConditionalReport> from_counts =
       ConditionalStatisticalParityFromCounts(counts, -0.1,
                                              /*min_stratum_size=*/100);

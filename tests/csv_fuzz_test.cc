@@ -541,9 +541,23 @@ std::string StreamingDiff(const std::string& path, const CsvOptions& options,
       return "stream read what ReadCsvString rejected: " +
              whole.status().ToString() + at;
     }
-    const std::string diff = TableDiff(chunked->Materialize().ValueOrDie(),
-                                       *whole);
-    if (!diff.empty()) return "stream " + diff + at;
+    if (!(chunked->schema() == whole->schema())) {
+      return "stream schema differs" + at;
+    }
+    if (chunked->num_rows() != whole->num_rows()) {
+      return "stream rows " + std::to_string(chunked->num_rows()) + " vs " +
+             std::to_string(whole->num_rows()) + at;
+    }
+    size_t offset = 0;
+    for (size_t c = 0; c < chunked->num_chunks(); ++c) {
+      const Table& chunk = chunked->chunk(c);
+      const std::string diff = TableDiff(
+          chunk, whole->Slice(offset, chunk.num_rows()).ValueOrDie());
+      if (!diff.empty()) {
+        return "stream chunk " + std::to_string(c) + " " + diff + at;
+      }
+      offset += chunk.num_rows();
+    }
   }
   return "";
 }

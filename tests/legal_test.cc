@@ -2,11 +2,14 @@
 // EU proportionality, US burden shifting.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "legal/burden_shifting.h"
 #include "legal/doctrine.h"
 #include "legal/four_fifths.h"
 #include "legal/jurisdiction.h"
 #include "legal/proportionality.h"
+#include "metrics/fairness_metric.h"
 
 namespace fairlaw::legal {
 namespace {
@@ -160,6 +163,67 @@ TEST(FourFifthsTest, Validation) {
   single.predictions = {1, 0};
   EXPECT_FALSE(FourFifthsTest(single).ok());
   EXPECT_FALSE(FourFifthsTest(Outcomes(1, 2, 1, 2), 0.0).ok());
+}
+
+/// FourFifthsFromStats(ComputeGroupStats(x)) equals FourFifthsTest(x):
+/// the same result fields, or the same error message.
+void ExpectSameFourFifths(const metrics::MetricInput& input, double threshold) {
+  const Result<FourFifthsResult> rowwise = FourFifthsTest(input, threshold);
+  Result<std::vector<metrics::GroupStats>> stats =
+      metrics::ComputeGroupStats(input, /*with_labels=*/false);
+  const Result<FourFifthsResult> from_stats =
+      stats.ok() ? FourFifthsFromStats(*stats, threshold)
+                 : Result<FourFifthsResult>(stats.status());
+  ASSERT_EQ(from_stats.ok(), rowwise.ok());
+  if (!rowwise.ok()) {
+    EXPECT_EQ(from_stats.status().message(), rowwise.status().message());
+    return;
+  }
+  EXPECT_EQ(RenderFourFifths(*from_stats), RenderFourFifths(*rowwise));
+  EXPECT_EQ(from_stats->detail, rowwise->detail);
+  EXPECT_EQ(from_stats->adverse_impact_indicated,
+            rowwise->adverse_impact_indicated);
+  ASSERT_EQ(from_stats->groups.size(), rowwise->groups.size());
+  for (size_t i = 0; i < rowwise->groups.size(); ++i) {
+    const FourFifthsGroup& a = from_stats->groups[i];
+    const FourFifthsGroup& b = rowwise->groups[i];
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.selected, b.selected);
+    EXPECT_EQ(a.impact_ratio, b.impact_ratio);
+    EXPECT_EQ(a.significance.statistic, b.significance.statistic);
+    EXPECT_EQ(a.significance.p_value, b.significance.p_value);
+  }
+}
+
+TEST(FourFifthsTest, FromStatsMatchesTheMetricInputForm) {
+  ExpectSameFourFifths(Outcomes(250, 500, 150, 500), 0.8);
+  ExpectSameFourFifths(Outcomes(5, 10, 3, 10), 0.8);
+  ExpectSameFourFifths(Outcomes(100, 200, 90, 200), 0.95);
+  metrics::MetricInput three = Outcomes(40, 80, 10, 50);
+  for (int i = 0; i < 30; ++i) {
+    three.groups.push_back("c");
+    three.predictions.push_back(i % 3 == 0 ? 1 : 0);
+  }
+  ExpectSameFourFifths(three, 0.8);
+  // Errors: bad threshold, one group, no positive selections, and an
+  // input the group stats reject — each in the MetricInput form's order.
+  ExpectSameFourFifths(Outcomes(1, 2, 1, 2), 0.0);
+  ExpectSameFourFifths(Outcomes(1, 2, 1, 2), 1.5);
+  metrics::MetricInput single;
+  single.groups = {"a", "a"};
+  single.predictions = {1, 0};
+  ExpectSameFourFifths(single, 0.8);
+  ExpectSameFourFifths(Outcomes(0, 10, 0, 10), 0.8);
+  ExpectSameFourFifths(metrics::MetricInput{}, 0.8);
+  // With both a bad threshold and a bad input, the MetricInput form
+  // still reports the threshold first.
+  EXPECT_EQ(FourFifthsTest(metrics::MetricInput{}, 0.0).status().message(),
+            "FourFifthsTest: threshold must lie in (0,1]");
+  EXPECT_EQ(FourFifthsFromStats({}, 0.8).status().message(),
+            "FourFifthsTest: need >= 2 groups");
+  EXPECT_EQ(FourFifthsFromStats({}, 0.0).status().message(),
+            "FourFifthsTest: threshold must lie in (0,1]");
 }
 
 TEST(ProportionalityTest, StagesFailInOrder) {

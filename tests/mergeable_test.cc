@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "stats/mergeable.h"
@@ -45,8 +46,9 @@ std::vector<size_t> ChunkEnds(size_t n) {
 
 void Fold(const Row& row, GroupCountsAccumulator* counts,
           StratifiedCountsAccumulator* strata, GroupedSeries* series) {
-  counts->AddRow(row.group, row.prediction, row.label);
-  strata->Stratum(row.stratum)->AddRow(row.group, row.prediction);
+  counts->AddRow(counts->KeyIndex(row.group), row.prediction, row.label);
+  GroupCountsAccumulator* stratum = strata->Stratum(row.stratum);
+  stratum->AddRow(stratum->KeyIndex(row.group), row.prediction);
   series->Append(series->KeyIndex(row.group), row.score,
                  static_cast<uint8_t>(row.label));
 }
@@ -61,10 +63,10 @@ void ExpectSameCounts(const GroupCountsAccumulator& a,
 
 TEST(GroupCountsAccumulatorTest, KeysKeepFirstSeenOrder) {
   GroupCountsAccumulator counts;
-  counts.AddRow("beta", 1, 1);
-  counts.AddRow("alpha", 0, 1);
-  counts.AddRow("beta", 1, 0);
-  counts.AddRow("gamma", 0, 0);
+  counts.AddRow(counts.KeyIndex("beta"), 1, 1);
+  counts.AddRow(counts.KeyIndex("alpha"), 0, 1);
+  counts.AddRow(counts.KeyIndex("beta"), 1, 0);
+  counts.AddRow(counts.KeyIndex("gamma"), 0, 0);
   ASSERT_EQ(counts.keys(), (std::vector<std::string>{"beta", "alpha",
                                                      "gamma"}));
   const GroupCounts& beta = counts.counts(0);
@@ -84,8 +86,8 @@ TEST(GroupCountsAccumulatorTest, KeysKeepFirstSeenOrder) {
 TEST(GroupCountsAccumulatorTest, FindKeyOnAbsentKeyReturnsNumKeys) {
   GroupCountsAccumulator counts;
   EXPECT_EQ(counts.FindKey("missing"), 0u);
-  counts.AddRow("a", 1);
-  counts.AddRow("b", 0);
+  counts.AddRow(counts.KeyIndex("a"), 1);
+  counts.AddRow(counts.KeyIndex("b"), 0);
   EXPECT_EQ(counts.FindKey("b"), 1u);
   EXPECT_EQ(counts.FindKey("missing"), counts.num_keys());
   EXPECT_EQ(counts.num_keys(), 2u);  // the probe inserted nothing
@@ -93,9 +95,12 @@ TEST(GroupCountsAccumulatorTest, FindKeyOnAbsentKeyReturnsNumKeys) {
 
 TEST(StratifiedCountsAccumulatorTest, KeysKeepFirstSeenOrder) {
   StratifiedCountsAccumulator strata;
-  strata.Stratum("s2")->AddRow("m", 1);
-  strata.Stratum("s1")->AddRow("f", 0);
-  strata.Stratum("s2")->AddRow("f", 1);
+  for (const auto& [stratum, group, prediction] :
+       {std::tuple{"s2", "m", 1}, std::tuple{"s1", "f", 0},
+        std::tuple{"s2", "f", 1}}) {
+    GroupCountsAccumulator* counts = strata.Stratum(stratum);
+    counts->AddRow(counts->KeyIndex(group), prediction);
+  }
   ASSERT_EQ(strata.keys(), (std::vector<std::string>{"s2", "s1"}));
   EXPECT_EQ(strata.stratum(0).keys(), (std::vector<std::string>{"m", "f"}));
   EXPECT_EQ(strata.stratum(1).keys(), (std::vector<std::string>{"f"}));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "audit/sampling_adequacy.h"
 
 namespace fairlaw::audit {
@@ -57,6 +59,65 @@ TEST(SamplingAdequacyTest, Validation) {
   options.confidence = 0.95;
   options.max_ci_halfwidth = 0.0;
   EXPECT_FALSE(AssessSamplingAdequacy(input, options).ok());
+}
+
+/// AssessSamplingAdequacyFromStats(ComputeGroupStats(x)) equals
+/// AssessSamplingAdequacy(x): the same report, or the same error.
+void ExpectSameReport(const metrics::MetricInput& input,
+                      const SamplingAdequacyOptions& options) {
+  const Result<SamplingReport> rowwise =
+      AssessSamplingAdequacy(input, options);
+  Result<std::vector<metrics::GroupStats>> stats =
+      metrics::ComputeGroupStats(input, /*with_labels=*/false);
+  const Result<SamplingReport> from_stats =
+      stats.ok() ? AssessSamplingAdequacyFromStats(*stats, options)
+                 : Result<SamplingReport>(stats.status());
+  ASSERT_EQ(from_stats.ok(), rowwise.ok());
+  if (!rowwise.ok()) {
+    EXPECT_EQ(from_stats.status().message(), rowwise.status().message());
+    return;
+  }
+  EXPECT_EQ(from_stats->all_adequate, rowwise->all_adequate);
+  EXPECT_EQ(from_stats->detail, rowwise->detail);
+  ASSERT_EQ(from_stats->groups.size(), rowwise->groups.size());
+  for (size_t i = 0; i < rowwise->groups.size(); ++i) {
+    const GroupSupport& a = from_stats->groups[i];
+    const GroupSupport& b = rowwise->groups[i];
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.share, b.share);
+    EXPECT_EQ(a.selection_rate, b.selection_rate);
+    EXPECT_EQ(a.ci_halfwidth, b.ci_halfwidth);
+    EXPECT_EQ(a.adequate, b.adequate);
+  }
+}
+
+TEST(SamplingAdequacyTest, FromStatsMatchesTheMetricInputForm) {
+  SamplingAdequacyOptions options;
+  ExpectSameReport(MakeInput(2000, 8), options);
+  ExpectSameReport(MakeInput(1000, 1000), options);
+  ExpectSameReport(MakeInput(400, 3), options);
+  options.min_count = 5;
+  options.max_ci_halfwidth = 0.3;
+  options.confidence = 0.9;
+  ExpectSameReport(MakeInput(37, 11), options);
+  // Errors: bad confidence, bad half-width, empty and non-binary input.
+  options.confidence = 1.5;
+  ExpectSameReport(MakeInput(10, 10), options);
+  // With both bad options and a bad input, the MetricInput form still
+  // reports the options first.
+  EXPECT_EQ(AssessSamplingAdequacy(metrics::MetricInput{}, options)
+                .status()
+                .message(),
+            "AssessSamplingAdequacy: confidence must lie in (0,1)");
+  options.confidence = 0.95;
+  options.max_ci_halfwidth = 0.0;
+  ExpectSameReport(MakeInput(10, 10), options);
+  options.max_ci_halfwidth = 0.1;
+  ExpectSameReport(metrics::MetricInput{}, options);
+  metrics::MetricInput bad = MakeInput(3, 3);
+  bad.predictions[1] = 2;
+  ExpectSameReport(bad, options);
 }
 
 TEST(RequiredSampleSizeTest, MatchesClosedForm) {

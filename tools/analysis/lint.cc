@@ -28,13 +28,16 @@
 //   6. hot-path        std::vector<bool> is banned tree-wide (its packed
 //                      proxy references defeat spans and word-wise
 //                      kernels; use std::vector<uint8_t> or data::Bitmap),
-//                      and per-row std::string equality comparisons inside
-//                      loops are flagged in src/audit/ and src/metrics/
-//                      (group membership belongs in data::GroupIndex
-//                      bitmaps, not string compares). A deliberate scalar
-//                      baseline can opt out with a
-//                      `lint: allow-string-compare` comment on the line or
-//                      the line above.
+//                      and two per-row string habits inside loops are
+//                      flagged in src/audit/ and src/metrics/:
+//                      std::string equality compares (group membership
+//                      belongs in data::GroupIndex bitmaps) and
+//                      Column::ValueToString( calls (keys come from
+//                      data::EncodeKeys codes). A deliberate scalar
+//                      baseline opts out with a
+//                      `lint: allow-string-compare` or
+//                      `lint: allow-per-row-render` comment on the line
+//                      or the line above.
 //   7. timing-source   raw std::chrono::steady_clock is banned outside
 //                      src/obs/: measurements flow through
 //                      obs::MonotonicNowNs() / obs::TraceSpan so they
@@ -116,8 +119,8 @@ class Linter {
 
   /// Most lint rules are structural (a wrong include guard cannot be
   /// "allowed"), so findings bypass the marker machinery; the hot-path
-  /// string-compare rule keeps its own pre-existing
-  /// `lint: allow-string-compare` marker check at the call site.
+  /// rule checks its own `lint: allow-string-compare` and
+  /// `lint: allow-per-row-render` markers at the call site.
   void Report(std::string file, size_t line, std::string rule,
               std::string message) {
     reporter_.ReportAlways(std::move(file), line, std::move(rule),
@@ -326,9 +329,10 @@ class Linter {
   }
 
   /// Rule 6: hot-path hygiene. std::vector<bool> is banned in every
-  /// scanned tree; per-row string equality inside loops is flagged for
-  /// the audit/metric kernels, where membership tests must run on
-  /// data::GroupIndex bitmaps (see DESIGN.md §9).
+  /// scanned tree; per-row string equality and per-row ValueToString
+  /// renders inside loops are flagged for the audit/metric kernels,
+  /// where membership tests run on data::GroupIndex bitmaps and keys on
+  /// data::EncodeKeys codes (see DESIGN.md §9).
   void CheckHotPath(const fs::path& path, std::span<const Token> tokens,
                     const std::vector<Comment>& comments) {
     const std::string rel = RelPath(path);
@@ -345,7 +349,6 @@ class Linter {
                           rel.rfind("src/metrics/", 0) == 0;
     if (!hot_tree) return;
     const std::vector<std::string> names = StringVectorNames(tokens);
-    if (names.empty()) return;
 
     // One pass over the tokens tracking which brace depths are loop
     // bodies; a `for`/`while` header counts as in-loop from its keyword
@@ -377,6 +380,18 @@ class Linter {
         continue;
       }
       if (!(pending_loop || !loop_depths.empty())) continue;
+      if (token.text == "ValueToString" && i + 1 < tokens.size() &&
+          tokens[i + 1].IsPunct("(")) {
+        if (!HasMarkerOnOrAbove(comments, "lint: allow-per-row-render",
+                                token.line)) {
+          Report(rel, token.line, "hot-path",
+                 "per-row ValueToString( inside a loop: audit/metric "
+                 "kernels take group keys from data::EncodeKeys codes "
+                 "(add `lint: allow-per-row-render` only for a deliberate "
+                 "row-wise oracle)");
+        }
+        continue;
+      }
       if (std::find(names.begin(), names.end(), token.text) == names.end()) {
         continue;
       }

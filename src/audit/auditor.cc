@@ -23,6 +23,13 @@ Status AuditConfig::Validate() const {
       return Status::Invalid(
           "AuditConfig: strata_columns contains an empty column name");
     }
+    // A stratum that fixes the protected attribute holds one group, so
+    // no stratum could ever be compared.
+    if (column == protected_column) {
+      return Status::Invalid("AuditConfig: strata_columns must not contain "
+                             "the protected column '" +
+                             column + "'");
+    }
   }
   if (tolerance < 0.0 || tolerance > 1.0) {
     return Status::Invalid("AuditConfig: tolerance must lie in [0,1], got " +

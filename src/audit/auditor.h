@@ -55,9 +55,10 @@ struct AuditConfig {
   /// Histogram bins for the O(n) binned drift fast path; 0 (default)
   /// uses the exact presorted path.
   size_t score_distribution_bins = 0;
-  /// Worker threads for metric evaluation: 1 = serial (default), 0 = one
-  /// per hardware thread. The audit output is byte-identical for every
-  /// thread count — results are sequenced by metric, not by completion.
+  /// Worker threads for the chunk fold: 1 = serial (default), 0 = one
+  /// per hardware thread. Metric evaluation runs serially on the merged
+  /// tallies. The audit output is byte-identical for every thread count
+  /// — partials merge in chunk order, not in completion order.
   size_t num_threads = 1;
   /// Rows per morsel for the chunked engine: the table is split into
   /// chunks of this many rows, each chunk produces mergeable partials

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <functional>
 #include <iterator>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "base/mutex.h"
-#include "base/thread_annotations.h"
-#include "base/thread_pool.h"
 #include "data/table.h"
 #include "metrics/calibration_metric.h"
 #include "metrics/conditional_metrics.h"
@@ -29,11 +23,10 @@ namespace {
 /// Per-group score-distribution drift: each group's sorted scores against
 /// the multiset difference of the sorted pooled scores (everyone else),
 /// through the presorted W1/KS kernels — or the binned kernels when the
-/// config asks for the O(n) fast path. Runs serially after the metric
-/// jobs, so thread count cannot touch the result. `series` holds each
-/// group's scores in global row order (the chunk-order merge guarantees
-/// that), and `scores` is the full score column in row order, so the
-/// sorts see exactly the sequences the old whole-table pass fed them.
+/// config asks for the O(n) fast path. `series` holds each group's
+/// scores in global row order (the chunk-order merge guarantees that),
+/// and `scores` is the full score column in row order, so the sorts see
+/// exactly the sequences the old whole-table pass fed them.
 Result<ScoreDistributionReport> ScoreDistributionAudit(
     const stats::GroupedSeries& series, std::span<const double> scores,
     const AuditConfig& config) {
@@ -95,195 +88,84 @@ Result<ScoreDistributionReport> ScoreDistributionAudit(
   return report;
 }
 
-/// Collects metric results completed on worker threads. Each result
-/// carries the sequence number of its job in the canonical (serial)
-/// evaluation order, so Finish() can assemble an AuditResult that is
-/// byte-identical for any thread count — including which error wins when
-/// several metrics fail at once.
-class ResultAggregator {
- public:
-  void AddMetric(size_t seq, Result<metrics::MetricReport> report)
-      FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    metric_reports_.emplace_back(seq, std::move(report));
-  }
-
-  void AddConditional(size_t seq, Result<metrics::ConditionalReport> report)
-      FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    conditional_reports_.emplace_back(seq, std::move(report));
-  }
-
-  void AddCalibration(size_t seq, Result<metrics::CalibrationReport> report)
-      FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    calibration_.emplace(seq, std::move(report));
-  }
-
-  /// Deterministic assembly; call only after every job has completed.
-  Result<AuditResult> Finish() FAIRLAW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    auto by_seq = [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    };
-    std::sort(metric_reports_.begin(), metric_reports_.end(), by_seq);
-    std::sort(conditional_reports_.begin(), conditional_reports_.end(),
-              by_seq);
-
-    // Serial evaluation returns the error of the first failing job; keep
-    // that contract by picking the non-OK status with the lowest seq.
-    size_t first_error_seq = SIZE_MAX;
-    const Status* first_error = nullptr;
-    auto consider = [&](size_t seq, const Status& status) {
-      if (!status.ok() && seq < first_error_seq) {
-        first_error_seq = seq;
-        first_error = &status;
-      }
-    };
-    for (const auto& [seq, report] : metric_reports_) {
-      consider(seq, report.status());
-    }
-    if (calibration_.has_value()) {
-      consider(calibration_->first, calibration_->second.status());
-    }
-    for (const auto& [seq, report] : conditional_reports_) {
-      consider(seq, report.status());
-    }
-    if (first_error != nullptr) return *first_error;
-
-    AuditResult result;
-    for (auto& [seq, report] : metric_reports_) {
-      metrics::MetricReport r = std::move(report).ValueOrDie();
-      result.all_satisfied = result.all_satisfied && r.satisfied;
-      result.reports.push_back(std::move(r));
-    }
-    if (calibration_.has_value()) {
-      metrics::CalibrationReport calibration =
-          std::move(calibration_->second).ValueOrDie();
-      result.all_satisfied = result.all_satisfied && calibration.satisfied;
-      result.calibration = std::move(calibration);
-    }
-    for (auto& [seq, report] : conditional_reports_) {
-      metrics::ConditionalReport r = std::move(report).ValueOrDie();
-      result.all_satisfied = result.all_satisfied && r.satisfied;
-      result.conditional_reports.push_back(std::move(r));
-    }
-    return result;
-  }
-
- private:
-  Mutex mu_;
-  std::vector<std::pair<size_t, Result<metrics::MetricReport>>>
-      metric_reports_ FAIRLAW_GUARDED_BY(mu_);
-  std::vector<std::pair<size_t, Result<metrics::ConditionalReport>>>
-      conditional_reports_ FAIRLAW_GUARDED_BY(mu_);
-  std::optional<std::pair<size_t, Result<metrics::CalibrationReport>>>
-      calibration_ FAIRLAW_GUARDED_BY(mu_);
-};
-
 }  // namespace
 
 Result<AuditResult> EvaluateMetrics(const EvaluateInputs& inputs,
                                     const AuditConfig& config,
                                     const std::string& parent_path) {
-  const stats::GroupCountsAccumulator& counts = *inputs.counts;
-  const bool with_strata = inputs.strata_counts != nullptr &&
-                           inputs.strata_counts->num_strata() > 0;
+  AuditResult result;
+  Status first_error;
+  // Runs one metric under its `metric/<name>` span and hands a passing
+  // report to `keep`. Metrics after a failure still run, so the span
+  // tree does not depend on which metric failed; the first failure is
+  // the one returned.
+  auto evaluate = [&](std::string_view name, auto compute, auto keep) {
+    obs::TraceSpan span("metric/" + std::string(name), parent_path);
+    auto report = compute();
+    if (!report.ok()) {
+      if (first_error.ok()) first_error = report.status();
+      return;
+    }
+    result.all_satisfied = result.all_satisfied && report->satisfied;
+    keep(std::move(report).ValueOrDie());
+  };
+  auto keep_metric = [&result](metrics::MetricReport report) {
+    result.reports.push_back(std::move(report));
+  };
+  auto keep_conditional = [&result](metrics::ConditionalReport report) {
+    result.conditional_reports.push_back(std::move(report));
+  };
 
-  ResultAggregator aggregator;
-  std::vector<std::function<void()>> jobs;
-  size_t seq = 0;
-  auto add_metric =
-      [&](std::string_view name,
-          std::function<Result<metrics::MetricReport>()> compute) {
-        jobs.push_back([&aggregator, &parent_path, seq,
-                        name = "metric/" + std::string(name),
-                        compute = std::move(compute)] {
-          obs::TraceSpan span(name, parent_path);
-          aggregator.AddMetric(seq, compute());
-        });
-        ++seq;
-      };
-
-  add_metric("demographic_parity", [&] {
-    return metrics::DemographicParityFromStats(
-        metrics::GroupStatsFromCounts(counts, /*with_labels=*/false),
-        config.tolerance);
-  });
-  add_metric("demographic_disparity", [&] {
-    return metrics::DemographicDisparityFromStats(
-        metrics::GroupStatsFromCounts(counts, /*with_labels=*/false));
-  });
-  add_metric("disparate_impact_ratio", [&] {
-    return metrics::DisparateImpactRatioFromStats(
-        metrics::GroupStatsFromCounts(counts, /*with_labels=*/false),
-        config.di_threshold);
-  });
+  const std::vector<metrics::GroupStats> selection =
+      metrics::GroupStatsFromCounts(*inputs.counts, /*with_labels=*/false);
+  evaluate("demographic_parity", [&] {
+    return metrics::DemographicParityFromStats(selection, config.tolerance);
+  }, keep_metric);
+  evaluate("demographic_disparity", [&] {
+    return metrics::DemographicDisparityFromStats(selection);
+  }, keep_metric);
+  evaluate("disparate_impact_ratio", [&] {
+    return metrics::DisparateImpactRatioFromStats(selection,
+                                                  config.di_threshold);
+  }, keep_metric);
   if (inputs.has_labels) {
-    add_metric("equal_opportunity", [&] {
-      return metrics::EqualOpportunityFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
-    add_metric("equalized_odds", [&] {
-      return metrics::EqualizedOddsFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
-    add_metric("predictive_parity", [&] {
-      return metrics::PredictiveParityFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
-    add_metric("accuracy_equality", [&] {
-      return metrics::AccuracyEqualityFromStats(
-          metrics::GroupStatsFromCounts(counts, /*with_labels=*/true),
-          config.tolerance);
-    });
+    const std::vector<metrics::GroupStats> labeled =
+        metrics::GroupStatsFromCounts(*inputs.counts, /*with_labels=*/true);
+    evaluate("equal_opportunity", [&] {
+      return metrics::EqualOpportunityFromStats(labeled, config.tolerance);
+    }, keep_metric);
+    evaluate("equalized_odds", [&] {
+      return metrics::EqualizedOddsFromStats(labeled, config.tolerance);
+    }, keep_metric);
+    evaluate("predictive_parity", [&] {
+      return metrics::PredictiveParityFromStats(labeled, config.tolerance);
+    }, keep_metric);
+    evaluate("accuracy_equality", [&] {
+      return metrics::AccuracyEqualityFromStats(labeled, config.tolerance);
+    }, keep_metric);
   }
   if (inputs.score_series != nullptr && !config.score_column.empty()) {
-    jobs.push_back([&aggregator, &parent_path, seq, &inputs, &config] {
-      obs::TraceSpan span("metric/calibration_within_groups", parent_path);
-      aggregator.AddCalibration(
-          seq, metrics::CalibrationFromSeries(*inputs.score_series,
-                                              config.calibration_bins,
-                                              config.calibration_tolerance));
+    evaluate("calibration_within_groups", [&] {
+      return metrics::CalibrationFromSeries(*inputs.score_series,
+                                            config.calibration_bins,
+                                            config.calibration_tolerance);
+    }, [&result](metrics::CalibrationReport report) {
+      result.calibration = std::move(report);
     });
-    ++seq;
   }
-  if (with_strata) {
-    auto add_conditional =
-        [&](std::string_view name,
-            std::function<Result<metrics::ConditionalReport>()> compute) {
-          jobs.push_back([&aggregator, &parent_path, seq,
-                          name = "metric/" + std::string(name),
-                          compute = std::move(compute)] {
-            obs::TraceSpan span(name, parent_path);
-            aggregator.AddConditional(seq, compute());
-          });
-          ++seq;
-        };
-    add_conditional("conditional_statistical_parity", [&] {
+  if (inputs.strata_counts != nullptr &&
+      inputs.strata_counts->num_strata() > 0) {
+    evaluate("conditional_statistical_parity", [&] {
       return metrics::ConditionalStatisticalParityFromCounts(
           *inputs.strata_counts, config.tolerance, config.min_stratum_size);
-    });
-    add_conditional("conditional_demographic_disparity", [&] {
+    }, keep_conditional);
+    evaluate("conditional_demographic_disparity", [&] {
       return metrics::ConditionalDemographicDisparityFromCounts(
           *inputs.strata_counts, config.min_stratum_size);
-    });
+    }, keep_conditional);
   }
-
-  if (config.num_threads == 1) {
-    for (const std::function<void()>& job : jobs) job();
-  } else {
-    // num_threads == 0 sizes the pool to the hardware; otherwise never
-    // spawn more workers than there are jobs.
-    ThreadPool pool(config.num_threads == 0
-                        ? 0
-                        : std::min(config.num_threads, jobs.size()));
-    pool.ParallelFor(jobs.size(), [&jobs](size_t i) { jobs[i](); });
-  }
-  return aggregator.Finish();
+  if (!first_error.ok()) return first_error;
+  return result;
 }
 
 Result<AuditResult> EvaluateMergedPartials(const MergedPartials& merged,

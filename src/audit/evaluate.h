@@ -26,11 +26,11 @@ struct EvaluateInputs {
   bool has_labels = false;
 };
 
-/// Runs one closure per metric over merged exact tallies, sequenced in
-/// the canonical report order and assembled by sequence number, so the
-/// result — including which error wins when several metrics fail — is
-/// byte-identical for every thread count. Shared by the chunked table
-/// engines and the serve window evaluator.
+/// Evaluates every metric over merged exact tallies, one after another
+/// in report order on the calling thread. Each is an O(groups × strata)
+/// fold, so the result — including the first failing metric's error,
+/// which is the one returned — never depends on a thread count. Shared
+/// by the chunked table engines and the serve window evaluator.
 FAIRLAW_NODISCARD Result<AuditResult> EvaluateMetrics(
     const EvaluateInputs& inputs, const AuditConfig& config,
     const std::string& parent_path);

@@ -51,10 +51,7 @@ void WriteConditionalReport(JsonWriter* json,
   json->EndObject();
 }
 
-void WriteAuditFindings(JsonWriter* json, const AuditResult& result) {
-  json->BeginObject();
-  json->Field("all_satisfied", result.all_satisfied);
-
+void WriteAuditSections(JsonWriter* json, const AuditResult& result) {
   json->Key("metrics");
   json->BeginArray();
   for (const metrics::MetricReport& metric : result.reports) {
@@ -79,7 +76,12 @@ void WriteAuditFindings(JsonWriter* json, const AuditResult& result) {
     json->Key("score_distribution");
     WriteScoreDistributionReport(json, *result.score_distribution);
   }
+}
 
+void WriteAuditFindings(JsonWriter* json, const AuditResult& result) {
+  json->BeginObject();
+  json->Field("all_satisfied", result.all_satisfied);
+  WriteAuditSections(json, result);
   json->EndObject();
 }
 

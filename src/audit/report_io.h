@@ -41,9 +41,14 @@ void WriteCalibrationReport(JsonWriter* json,
 void WriteScoreDistributionReport(JsonWriter* json,
                                   const ScoreDistributionReport& report);
 
-/// Writes the findings object for an AuditResult: `all_satisfied`,
-/// `metrics`, `conditional_metrics`, plus `calibration` and
-/// `score_distribution` when the audit produced them.
+/// Writes the AuditResult's sections into an open object: `metrics`,
+/// `conditional_metrics`, plus `calibration` and `score_distribution`
+/// when the audit produced them. The one writer of these blocks, shared
+/// by the audit findings and the core suite export.
+void WriteAuditSections(JsonWriter* json, const AuditResult& result);
+
+/// Writes the findings object for an AuditResult: `all_satisfied`, then
+/// WriteAuditSections.
 void WriteAuditFindings(JsonWriter* json, const AuditResult& result);
 
 /// Envelope controls for AuditResultToJson.

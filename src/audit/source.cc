@@ -1,6 +1,5 @@
 #include "audit/source.h"
 
-#include <algorithm>
 #include <deque>
 #include <future>
 #include <optional>
@@ -10,6 +9,7 @@
 #include "audit/evaluate.h"
 #include "audit/partials.h"
 #include "base/thread_pool.h"
+#include "data/chunked.h"
 #include "obs/obs.h"
 
 namespace fairlaw::audit {
@@ -23,39 +23,33 @@ Status EmptyRunError(const data::Schema& schema, const AuditConfig& config) {
   return EmptyAuditError(empty, config);
 }
 
-/// Folds borrowed chunks (in row order) into one result. A whole Table
-/// is the one-chunk case, passed by reference with no copy.
-Result<AuditResult> RunChunked(const std::vector<const data::Table*>& chunks,
-                               const data::Schema& schema,
-                               const AuditConfig& config) {
+/// Folds `table` in chunks of config.chunk_rows rows, in row order, into
+/// one result. Each chunk's task slices its own rows, so the copy runs
+/// in parallel and no whole-table chunked copy is built; a table that is
+/// one chunk is passed by reference with no copy at all.
+Result<AuditResult> RunTable(const data::Table& table,
+                             const AuditConfig& config) {
   obs::TraceSpan run_span("run_audit");
   obs::GetCounter("audit.runs")->Increment();
-  size_t num_rows = 0;
-  for (const data::Table* chunk : chunks) num_rows += chunk->num_rows();
+  const size_t num_rows = table.num_rows();
   obs::GetCounter("audit.rows_audited")->Increment(num_rows);
   // Morsels may run on pool workers whose span stack is empty; capturing
   // the scheduling thread's path here and passing it to TraceSpan keeps
   // the exported span tree identical for every thread count.
   const std::string parent_path = obs::CurrentPath();
 
-  if (num_rows == 0) return EmptyRunError(schema, config);
+  if (num_rows == 0) return EmptyRunError(table.schema(), config);
 
-  obs::GetCounter("audit.morsels_scheduled")->Increment(chunks.size());
-  std::vector<ChunkPartial> partials(chunks.size());
-  if (config.num_threads == 1 || chunks.size() == 1) {
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      partials[i] = ProcessChunk(*chunks[i], config, parent_path);
-    }
-  } else {
-    ThreadPool pool(config.num_threads == 0
-                        ? 0
-                        : std::min(config.num_threads, chunks.size()));
-    pool.ParallelFor(chunks.size(),
-                     [&partials, &chunks, &config, &parent_path](size_t i) {
-                       partials[i] =
-                           ProcessChunk(*chunks[i], config, parent_path);
-                     });
-  }
+  const size_t num_chunks = data::NumChunks(num_rows, config.chunk_rows);
+  obs::GetCounter("audit.morsels_scheduled")->Increment(num_chunks);
+  std::vector<ChunkPartial> partials(num_chunks);
+  ParallelFor(config.num_threads, num_chunks, [&](size_t c) {
+    partials[c] =
+        num_chunks == 1
+            ? ProcessChunk(table, config, parent_path)
+            : ProcessChunk(data::SliceChunk(table, config.chunk_rows, c),
+                           config, parent_path);
+  });
   MergedPartials merged;
   for (ChunkPartial& partial : partials) merged.Fold(std::move(partial));
   return EvaluateMergedPartials(merged, config, parent_path);
@@ -101,6 +95,8 @@ Result<AuditResult> RunCsv(const AuditSource::CsvSpec& spec,
       std::future<void> done;
     };
     std::deque<InFlight> in_flight;
+    // The reader yields chunks one after another, so the pool outlives
+    // every fan-out of the stream. lint: allow-owned-pool
     ThreadPool pool(config.num_threads);
     const size_t window = pool.num_threads() * 2;
     auto drain_front = [&merged, &in_flight] {
@@ -135,16 +131,7 @@ Result<AuditResult> Auditor::Run(const AuditSource& source,
   struct Dispatch {
     const AuditConfig& config;
     Result<AuditResult> operator()(const data::Table* table) const {
-      if (config.chunk_rows == 0) {
-        return RunChunked({table}, table->schema(), config);
-      }
-      FAIRLAW_ASSIGN_OR_RETURN(
-          data::ChunkedTable chunked,
-          data::ChunkedTable::FromTable(*table, config.chunk_rows));
-      return (*this)(&chunked);
-    }
-    Result<AuditResult> operator()(const data::ChunkedTable* table) const {
-      return RunChunked(table->ChunkPointers(), table->schema(), config);
+      return RunTable(*table, config);
     }
     Result<AuditResult> operator()(const AuditSource::CsvSpec& spec) const {
       return RunCsv(spec, config);

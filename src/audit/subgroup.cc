@@ -221,8 +221,8 @@ void MergeResult(SubgroupAuditResult&& subtree, SubgroupAuditResult* total) {
 }
 
 /// The full lattice walk over a merged index: canonical subtree order,
-/// per-subtree slots (serial or ThreadPool), merge in task order, obs
-/// counters, final sort.
+/// per-subtree slots (ParallelFor), merge in task order, obs counters,
+/// final sort.
 SubgroupAuditResult RunLattice(const std::vector<ChunkedAttributeIndex>& attrs,
                                const data::ChunkedBitmap& predictions,
                                double overall_rate, size_t num_rows,
@@ -236,23 +236,15 @@ SubgroupAuditResult RunLattice(const std::vector<ChunkedAttributeIndex>& attrs,
     }
   }
 
+  // Each task writes only its own slot, so aggregation needs no lock;
+  // determinism comes from merging in task order below.
   std::vector<SubgroupAuditResult> subtree_results(tasks.size());
   std::vector<KernelTally> subtree_tallies(tasks.size());
-  auto run_task = [&](size_t t) {
+  ParallelFor(options.num_threads, tasks.size(), [&](size_t t) {
     subtree_results[t] =
         RunSubtree(attrs, predictions, overall_rate, num_rows, options,
                    tasks[t], &subtree_tallies[t]);
-  };
-  if (options.num_threads == 1 || tasks.size() <= 1) {
-    for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
-  } else {
-    // Each task writes only its own slot, so aggregation needs no lock;
-    // determinism comes from merging in task order below.
-    ThreadPool pool(options.num_threads == 0
-                        ? 0
-                        : std::min(options.num_threads, tasks.size()));
-    pool.ParallelFor(tasks.size(), run_task);
-  }
+  });
 
   SubgroupAuditResult result;
   KernelTally tally;
@@ -302,38 +294,28 @@ ChunkIndexPartial IndexChunk(const data::Table& chunk,
   return partial;
 }
 
-/// The one subgroup audit body, over borrowed chunks in row order.
-/// Indexes every chunk independently (one morsel per chunk), merges the
-/// per-chunk value dictionaries in chunk order and walks the lattice on
-/// the chunk-spanning bitmaps.
-Result<SubgroupAuditResult> AuditChunks(
-    const std::vector<const data::Table*>& chunks,
+}  // namespace
+
+Result<SubgroupAuditResult> AuditSubgroups(
+    const data::Table& table,
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column,
     const SubgroupAuditOptions& options) {
   obs::TraceSpan span("audit_subgroups");
-  const size_t num_chunks = chunks.size();
-  std::vector<size_t> chunk_sizes(num_chunks);
-  size_t num_rows = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_sizes[c] = chunks[c]->num_rows();
-    num_rows += chunk_sizes[c];
-  }
+  const size_t num_rows = table.num_rows();
   FAIRLAW_RETURN_NOT_OK(CheckAuditInputs(attribute_columns, num_rows, options));
 
-  // Morsel phase: every chunk is indexed independently.
+  // Morsel phase: every chunk is sliced and indexed in its own task; a
+  // table that is one chunk is indexed in place.
+  const size_t num_chunks = data::NumChunks(num_rows, options.chunk_rows);
   std::vector<ChunkIndexPartial> partials(num_chunks);
-  auto index_chunk = [&](size_t c) {
-    partials[c] = IndexChunk(*chunks[c], attribute_columns, prediction_column);
-  };
-  if (options.num_threads == 1 || num_chunks <= 1) {
-    for (size_t c = 0; c < num_chunks; ++c) index_chunk(c);
-  } else {
-    ThreadPool pool(options.num_threads == 0
-                        ? 0
-                        : std::min(options.num_threads, num_chunks));
-    pool.ParallelFor(num_chunks, index_chunk);
-  }
+  ParallelFor(options.num_threads, num_chunks, [&](size_t c) {
+    partials[c] =
+        num_chunks == 1
+            ? IndexChunk(table, attribute_columns, prediction_column)
+            : IndexChunk(data::SliceChunk(table, options.chunk_rows, c),
+                         attribute_columns, prediction_column);
+  });
   // Step outranks chunk: a serial pass fails on the prediction column
   // before it ever builds the index, so any chunk's prediction error
   // beats any chunk's index error.
@@ -344,10 +326,12 @@ Result<SubgroupAuditResult> AuditChunks(
     FAIRLAW_RETURN_NOT_OK(partial.index_status);
   }
 
+  std::vector<size_t> chunk_sizes(num_chunks);
   std::vector<data::Bitmap> prediction_chunks;
   prediction_chunks.reserve(num_chunks);
-  for (ChunkIndexPartial& partial : partials) {
-    prediction_chunks.push_back(std::move(partial.predictions));
+  for (size_t c = 0; c < num_chunks; ++c) {
+    chunk_sizes[c] = partials[c].index.num_rows();
+    prediction_chunks.push_back(std::move(partials[c].predictions));
   }
   data::ChunkedBitmap predictions(std::move(prediction_chunks));
   const double overall_rate = static_cast<double>(predictions.Count()) /
@@ -379,33 +363,6 @@ Result<SubgroupAuditResult> AuditChunks(
   }
 
   return RunLattice(attributes, predictions, overall_rate, num_rows, options);
-}
-
-}  // namespace
-
-Result<SubgroupAuditResult> AuditSubgroups(
-    const data::Table& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column,
-    const SubgroupAuditOptions& options) {
-  if (options.chunk_rows > 0) {
-    FAIRLAW_ASSIGN_OR_RETURN(
-        data::ChunkedTable chunked,
-        data::ChunkedTable::FromTable(table, options.chunk_rows));
-    return AuditSubgroups(chunked, attribute_columns, prediction_column,
-                          options);
-  }
-  return AuditChunks({&table}, attribute_columns, prediction_column,
-                     options);
-}
-
-Result<SubgroupAuditResult> AuditSubgroups(
-    const data::ChunkedTable& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column,
-    const SubgroupAuditOptions& options) {
-  return AuditChunks(table.ChunkPointers(), attribute_columns,
-                     prediction_column, options);
 }
 
 namespace {

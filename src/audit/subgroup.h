@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "base/result.h"
-#include "data/chunked.h"
 #include "data/table.h"
 
 namespace fairlaw::audit {
@@ -64,8 +63,8 @@ struct SubgroupAuditOptions {
   size_t chunk_rows = 0;
 
   /// Checks the options before the lattice walk: max_depth >= 1 and
-  /// tolerance in [0,1]. Every AuditSubgroups entry point calls this
-  /// first, mirroring AuditConfig::Validate, then rejects an empty
+  /// tolerance in [0,1]. AuditSubgroups and AuditSubgroupsRowwise call
+  /// this first, mirroring AuditConfig::Validate, then reject an empty
   /// attribute list, an empty table and an attribute listed twice.
   FAIRLAW_NODISCARD Status Validate() const;
 };
@@ -86,27 +85,19 @@ struct SubgroupAuditResult {
 /// values) up to `options.max_depth` and scores each against the overall
 /// selection rate of `prediction_column` (binary).
 ///
-/// The enumerator runs on a data::GroupIndex built once per call:
-/// narrowing a conjunction by one condition is a word-wise bitmap AND,
-/// and the member/selected counts are fused popcounts. With
-/// options.num_threads != 1 the first-condition subtrees run on a
-/// base::ThreadPool; the output is identical to the serial walk.
+/// Morsel-driven: the table is cut into chunks of options.chunk_rows
+/// rows, and each chunk is sliced and indexed (data::GroupIndex) in its
+/// own task. The per-chunk value dictionaries merge in chunk order —
+/// which reproduces the whole-table first-seen value order — and the
+/// conjunction lattice is walked over data::ChunkedBitmap AND/popcount
+/// kernels: narrowing a conjunction by one condition is a word-wise
+/// bitmap AND, and the member/selected counts are fused popcounts that
+/// sum over chunks to the whole-table counts. Both phases fan out
+/// through ParallelFor (the walk split at the first condition), so the
+/// findings and the kernel counters are byte-identical for every chunk
+/// size and thread count.
 FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
     const data::Table& table,
-    const std::vector<std::string>& attribute_columns,
-    const std::string& prediction_column, const SubgroupAuditOptions& options);
-
-/// Morsel-driven form, which the Table overload also runs (a whole table
-/// is the one-chunk case): indexes every chunk independently (one morsel
-/// per chunk on a base::ThreadPool when options.num_threads != 1), merges
-/// the per-chunk value dictionaries in chunk order — which reproduces the
-/// whole-table first-seen value order — and walks the conjunction
-/// lattice over data::ChunkedBitmap AND/popcount kernels. Per-chunk
-/// popcounts sum to the whole-table counts, so the findings (and the
-/// kernel counters) are byte-identical for every chunk layout and thread
-/// count.
-FAIRLAW_NODISCARD Result<SubgroupAuditResult> AuditSubgroups(
-    const data::ChunkedTable& table,
     const std::vector<std::string>& attribute_columns,
     const std::string& prediction_column, const SubgroupAuditOptions& options);
 

@@ -1,17 +1,26 @@
 #include "base/thread_pool.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
 #include "base/check.h"
 
 namespace fairlaw {
+namespace {
+
+/// A requested thread count with 0 resolved to the hardware count (at
+/// least 1).
+size_t ResolveThreads(size_t num_threads) {
+  if (num_threads != 0) return num_threads;
+  const size_t hardware = std::thread::hardware_concurrency();
+  return hardware == 0 ? 1 : hardware;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  num_threads = ResolveThreads(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -74,6 +83,17 @@ void ThreadPool::WorkerLoop() {
     }
     task();  // packaged_task captures any exception in its future
   }
+}
+
+void ParallelFor(size_t num_threads, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  const size_t workers = std::min(ResolveThreads(num_threads), n);
+  if (workers <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool pool(workers);
+  pool.ParallelFor(n, fn);
 }
 
 }  // namespace fairlaw

@@ -16,9 +16,11 @@ namespace fairlaw {
 /// Fixed-size worker pool over a shared task queue.
 ///
 /// This is the one place in fairlaw that owns std::thread
-/// (`fairlaw_check lint` enforces that); everything above base/ expresses parallelism as
-/// Submit/ParallelFor so the audit pipeline stays deterministic and
-/// TSan/-Wthread-safety checkable.
+/// (`fairlaw_check lint` enforces that). Library code above base/ fans
+/// out through the free ParallelFor below; only a pool that must outlive
+/// one fan-out (the CSV audit's in-order window, the serve daemon's
+/// workers) is constructed directly, so the audit pipeline stays
+/// deterministic and TSan/-Wthread-safety checkable.
 ///
 /// Semantics:
 ///   * Tasks run in FIFO submission order, each on whichever worker is
@@ -60,6 +62,17 @@ class ThreadPool {
   bool shutting_down_ FAIRLAW_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(0) ... fn(n-1) and returns when every call has finished: in
+/// index order on the calling thread when num_threads == 1 or n <= 1,
+/// otherwise on a pool of min(num_threads, n) workers built for this one
+/// call (num_threads == 0 means the hardware count). Each fn(i) must
+/// write only state owned by index i, so the outcome cannot depend on
+/// scheduling. The exception of the lowest throwing index is rethrown in
+/// both modes: serially the first throw ends the loop, on the pool every
+/// call runs and the rest are discarded.
+void ParallelFor(size_t num_threads, size_t n,
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace fairlaw
 

@@ -2,11 +2,11 @@
 
 #include "audit/proxy.h"
 #include "audit/report_io.h"
+#include "audit/representation.h"
 #include "audit/sampling_adequacy.h"
 #include "audit/subgroup.h"
 #include "base/json_writer.h"
 #include "legal/four_fifths.h"
-#include "metrics/conditional_metrics.h"
 #include "metrics/fairness_metric.h"
 
 namespace fairlaw {
@@ -26,30 +26,7 @@ Result<std::string> SuiteReportToJson(const SuiteReport& report) {
   json.BeginObject();
   json.Field("all_clear", report.all_clear);
 
-  json.Key("metrics");
-  json.BeginArray();
-  for (const metrics::MetricReport& metric : report.audit.reports) {
-    audit::WriteMetricReport(&json, metric);
-  }
-  json.EndArray();
-
-  json.Key("conditional_metrics");
-  json.BeginArray();
-  for (const metrics::ConditionalReport& conditional :
-       report.audit.conditional_reports) {
-    audit::WriteConditionalReport(&json, conditional);
-  }
-  json.EndArray();
-
-  if (report.audit.calibration.has_value()) {
-    json.Key("calibration");
-    audit::WriteCalibrationReport(&json, *report.audit.calibration);
-  }
-  if (report.audit.score_distribution.has_value()) {
-    json.Key("score_distribution");
-    audit::WriteScoreDistributionReport(&json,
-                                        *report.audit.score_distribution);
-  }
+  audit::WriteAuditSections(&json, report.audit);
 
   json.Key("proxies");
   json.BeginArray();
@@ -116,6 +93,31 @@ Result<std::string> SuiteReportToJson(const SuiteReport& report) {
       json.Field("impact_ratio", group.impact_ratio);
       json.Field("below_threshold", group.below_threshold);
       json.Field("p_value", group.significance.p_value);
+      json.EndObject();
+    }
+    json.EndArray();
+    json.EndObject();
+  }
+
+  if (report.representation.has_value()) {
+    json.Key("representation");
+    json.BeginObject();
+    json.Field("composition_ok", report.representation->composition_ok);
+    json.Field("total_variation", report.representation->total_variation);
+    json.Field("hellinger", report.representation->hellinger);
+    json.Field("chi_square_p_value",
+               report.representation->chi_square_p_value);
+    json.Key("groups");
+    json.BeginArray();
+    for (const audit::GroupRepresentation& group :
+         report.representation->groups) {
+      json.BeginObject();
+      json.Field("group", group.group);
+      json.Field("count", group.count);
+      json.Field("data_share", group.data_share);
+      json.Field("reference_share", group.reference_share);
+      json.Field("representation_ratio", group.representation_ratio);
+      json.Field("under_represented", group.under_represented);
       json.EndObject();
     }
     json.EndArray();

@@ -9,9 +9,11 @@
 
 namespace fairlaw {
 
-/// Serializes a full suite report (metric reports, proxy findings,
-/// subgroup findings, sampling support, four-fifths screen) inside the
-/// versioned envelope from audit/report_io.h:
+/// Serializes a full suite report (the audit sections through
+/// audit::WriteAuditSections, proxy findings, subgroup findings,
+/// sampling support, four-fifths screen, and the representation audit
+/// when population shares were given) inside the versioned envelope
+/// from audit/report_io.h:
 /// {"schema_version":2,"kind":"suite_report","findings":{...}}.
 FAIRLAW_NODISCARD Result<std::string> SuiteReportToJson(const SuiteReport& report);
 

@@ -7,18 +7,31 @@
 
 namespace fairlaw::data {
 
+size_t NumChunks(size_t num_rows, size_t chunk_rows) {
+  if (chunk_rows == 0) return num_rows == 0 ? 0 : 1;
+  return (num_rows + chunk_rows - 1) / chunk_rows;
+}
+
+Table SliceChunk(const Table& table, size_t chunk_rows, size_t c) {
+  const size_t num_rows = table.num_rows();
+  FAIRLAW_CHECK_MSG(c < NumChunks(num_rows, chunk_rows),
+                    "SliceChunk: chunk index out of range");
+  const size_t step = chunk_rows == 0 ? num_rows : chunk_rows;
+  const size_t offset = c * step;
+  // flowcheck: allow-unchecked-result (the range was bounds-checked above)
+  return table.Slice(offset, std::min(step, num_rows - offset)).ValueOrDie();
+}
+
 Result<ChunkedTable> ChunkedTable::FromTable(const Table& table,
                                              size_t chunk_rows) {
   ChunkedTable out;
   out.schema_ = table.schema();
-  const size_t total = table.num_rows();
-  const size_t step = chunk_rows == 0 ? std::max<size_t>(total, 1) : chunk_rows;
-  for (size_t offset = 0; offset < total; offset += step) {
-    const size_t length = std::min(step, total - offset);
-    FAIRLAW_ASSIGN_OR_RETURN(Table chunk, table.Slice(offset, length));
-    out.chunks_.push_back(std::move(chunk));
+  out.num_rows_ = table.num_rows();
+  const size_t num_chunks = NumChunks(out.num_rows_, chunk_rows);
+  out.chunks_.reserve(num_chunks);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    out.chunks_.push_back(SliceChunk(table, chunk_rows, c));
   }
-  out.num_rows_ = total;
   return out;
 }
 
@@ -39,13 +52,6 @@ Result<ChunkedTable> ChunkedTable::FromChunks(std::vector<Table> chunks) {
   }
   out.chunks_ = std::move(chunks);
   return out;
-}
-
-std::vector<const Table*> ChunkedTable::ChunkPointers() const {
-  std::vector<const Table*> pointers;
-  pointers.reserve(chunks_.size());
-  for (const Table& chunk : chunks_) pointers.push_back(&chunk);
-  return pointers;
 }
 
 ChunkedBitmap::ChunkedBitmap(std::vector<Bitmap> chunks)

@@ -35,8 +35,9 @@ class ChunkedTable {
 
   /// Splits `table` into chunks of `chunk_rows` rows (the last chunk may
   /// be shorter). `chunk_rows` == 0 means "one chunk for the whole
-  /// table". Copies the sliced rows; callers that already hold chunked
-  /// data should use FromChunks.
+  /// table". Copies the sliced rows (chunk c is SliceChunk(table,
+  /// chunk_rows, c)); callers that already hold chunked data should use
+  /// FromChunks.
   FAIRLAW_NODISCARD static Result<ChunkedTable> FromTable(const Table& table,
                                                           size_t chunk_rows);
 
@@ -50,16 +51,22 @@ class ChunkedTable {
   size_t num_chunks() const { return chunks_.size(); }
   const Table& chunk(size_t i) const { return chunks_[i]; }
 
-  /// Borrowed pointers to the chunks in row order: the form the chunk
-  /// engines take, so a single `Table` joins them as the one-chunk list
-  /// `{&table}` without a copy.
-  std::vector<const Table*> ChunkPointers() const;
-
  private:
   Schema schema_;
   std::vector<Table> chunks_;
   size_t num_rows_ = 0;
 };
+
+/// The number of chunks of `chunk_rows` rows (0: one chunk) that
+/// `num_rows` rows make; zero rows make zero chunks.
+size_t NumChunks(size_t num_rows, size_t chunk_rows);
+
+/// Chunk `c` (< NumChunks) of `table` cut into `chunk_rows`-row chunks:
+/// a copy of rows [c * chunk_rows, min((c + 1) * chunk_rows, num_rows)),
+/// or of the whole table when `chunk_rows` is 0. The in-memory chunk
+/// engines call it inside each chunk's own task, so the copy runs in
+/// parallel and never spans the whole table at once.
+Table SliceChunk(const Table& table, size_t chunk_rows, size_t c);
 
 /// A row set over a chunked table: one bitmap per chunk, combined with
 /// the same fused AND/popcount kernels as the contiguous `Bitmap` —

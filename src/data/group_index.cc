@@ -32,7 +32,8 @@ Result<std::vector<uint8_t>> BinaryValues(const Table& table,
                                           const std::string& name) {
   FAIRLAW_ASSIGN_OR_RETURN(const Column* column, table.GetColumn(name));
   if (column->null_count() > 0) {
-    return Status::Invalid("ToDoubles: column has nulls");
+    return Status::Invalid("column '" + name + "' has nulls; audits require "
+                           "explicit missing-value handling upstream");
   }
   std::vector<uint8_t> flags(column->size());
   bool binary = true;
@@ -50,7 +51,9 @@ Result<std::vector<uint8_t>> BinaryValues(const Table& table,
     std::transform(bools->begin(), bools->end(), flags.begin(),
                    [](uint8_t b) { return static_cast<uint8_t>(b != 0); });
   } else {
-    return Status::Invalid("ToDoubles: cannot convert string column");
+    return Status::Invalid("column '" + name +
+                           "' is a string column; 0/1 columns must be "
+                           "numeric or bool");
   }
   if (!binary) {
     return Status::Invalid("column '" + name + "' must be binary 0/1");

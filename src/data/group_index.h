@@ -33,9 +33,11 @@ KeyCodes EncodeKeys(const Column& column);
 /// labels). int64 and bool columns are read in place (a bool byte is 1
 /// iff nonzero); double columns accept exactly 0.0 and 1.0. Invalid,
 /// checked in this order, on a missing column (the table's lookup
-/// error), nulls ("ToDoubles: column has nulls"), a string column
-/// ("ToDoubles: cannot convert string column"), and any other value
-/// ("column '<name>' must be binary 0/1"). Backs the audit fold,
+/// error), nulls ("column '<name>' has nulls; audits require explicit
+/// missing-value handling upstream", the protected column's text), a
+/// string column ("column '<name>' is a string column; 0/1 columns must
+/// be numeric or bool"), and any other value ("column '<name>' must be
+/// binary 0/1"). Backs the audit fold,
 /// MetricInputFromTable and GroupIndex::BinaryColumnBitmap.
 FAIRLAW_NODISCARD Result<std::vector<uint8_t>> BinaryValues(
     const Table& table, const std::string& name);

@@ -95,6 +95,8 @@ std::string RequestErrorFrame(const std::string& op_label,
 Service::Service(const ServeConfig& config)
     : config_(config), ring_(config) {
   if (config_.num_threads != 1) {
+    // Folds every query's window for the daemon's lifetime.
+    // lint: allow-owned-pool
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
 }

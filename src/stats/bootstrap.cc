@@ -44,25 +44,6 @@ Status CheckBootstrapArgs(int replicates, double level, const Rng* rng,
   return Status::OK();
 }
 
-/// The seed of replicate r's private stream. Mixing the counter before
-/// xoring decorrelates streams even though the counters are sequential.
-uint64_t ReplicateSeed(uint64_t stream_base, size_t r) {
-  return SplitMix64(stream_base ^ SplitMix64(static_cast<uint64_t>(r)));
-}
-
-/// Runs fn(0..n-1), serially or on a pool. Every fn(r) writes only state
-/// owned by replicate r, so no lock is needed and the outcome cannot
-/// depend on scheduling.
-void ForEachReplicate(size_t n, size_t num_threads,
-                      const std::function<void(size_t)>& fn) {
-  if (num_threads == 1 || n <= 1) {
-    for (size_t r = 0; r < n; ++r) fn(r);
-    return;
-  }
-  ThreadPool pool(num_threads == 0 ? 0 : std::min(num_threads, n));
-  pool.ParallelFor(n, fn);
-}
-
 }  // namespace
 
 Result<ConfidenceInterval> BootstrapCi(std::span<const double> sample,
@@ -81,8 +62,8 @@ Result<ConfidenceInterval> BootstrapCi(std::span<const double> sample,
   // whole computation stays reproducible from the caller's seed.
   const uint64_t stream_base = rng->Next();
   std::vector<double> replicas(static_cast<size_t>(replicates));
-  ForEachReplicate(replicas.size(), num_threads, [&](size_t r) {
-    Rng replicate_rng(ReplicateSeed(stream_base, r));
+  ParallelFor(num_threads, replicas.size(), [&](size_t r) {
+    Rng replicate_rng(StreamSeed(stream_base, r));
     std::vector<double> resampled = Resample(sample, &replicate_rng);
     replicas[r] = statistic(resampled);
   });
@@ -107,8 +88,8 @@ Result<ConfidenceInterval> BootstrapCiTwoSample(
   }
   const uint64_t stream_base = rng->Next();
   std::vector<double> replicas(static_cast<size_t>(replicates));
-  ForEachReplicate(replicas.size(), num_threads, [&](size_t r) {
-    Rng replicate_rng(ReplicateSeed(stream_base, r));
+  ParallelFor(num_threads, replicas.size(), [&](size_t r) {
+    Rng replicate_rng(StreamSeed(stream_base, r));
     std::vector<double> ra = Resample(sample_a, &replicate_rng);
     std::vector<double> rb = Resample(sample_b, &replicate_rng);
     replicas[r] = statistic(ra, rb);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "base/check.h"
 #include "base/simd.h"
@@ -38,27 +37,6 @@ std::vector<Point> Lift(std::span<const double> values) {
   return points;
 }
 
-/// The seed of stream k (a sampled pair, a random feature). Mixing the
-/// counter before xoring decorrelates streams even though the counters
-/// are sequential — the same discipline as the bootstrap replicates.
-uint64_t StreamSeed(uint64_t base, size_t k) {
-  return SplitMix64(base ^ SplitMix64(static_cast<uint64_t>(k)));
-}
-
-/// Runs fn(0..n-1), serially or on a pool. Every fn(t) writes only state
-/// owned by task t, so no lock is needed and the outcome cannot depend on
-/// scheduling; the serial path visits tasks in the same order the merge
-/// reads them.
-void ForEachTask(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn) {
-  if (num_threads == 1 || n <= 1) {
-    for (size_t t = 0; t < n; ++t) fn(t);
-    return;
-  }
-  ThreadPool pool(num_threads == 0 ? 0 : std::min(num_threads, n));
-  pool.ParallelFor(n, fn);
-}
-
 size_t BlocksFor(size_t n) { return (n + kRowBlock - 1) / kRowBlock; }
 
 struct KernelSums {
@@ -80,7 +58,7 @@ KernelSums TiledKernelSums(std::span<const Point> x, std::span<const Point> y,
   std::vector<double> partial_xx(blocks_x, 0.0);
   std::vector<double> partial_xy(blocks_x, 0.0);
   std::vector<double> partial_yy(blocks_y, 0.0);
-  ForEachTask(blocks_x + blocks_y, num_threads, [&](size_t t) {
+  ParallelFor(num_threads, blocks_x + blocks_y, [&](size_t t) {
     if (t < blocks_x) {
       const size_t begin = t * kRowBlock;
       const size_t end = std::min(x.size(), begin + kRowBlock);
@@ -137,7 +115,7 @@ double SumFeatureDiffSquared(size_t num_features, size_t num_threads,
                              const FeatureDiff& feature_diff) {
   const size_t num_blocks = (num_features + kFeatureBlock - 1) / kFeatureBlock;
   std::vector<double> partial(num_blocks, 0.0);
-  ForEachTask(num_blocks, num_threads, [&](size_t blk) {
+  ParallelFor(num_threads, num_blocks, [&](size_t blk) {
     const size_t begin = blk * kFeatureBlock;
     const size_t end = std::min(num_features, begin + kFeatureBlock);
     double acc = 0.0;

@@ -15,6 +15,14 @@ namespace fairlaw::stats {
 /// runs the replicate.
 uint64_t SplitMix64(uint64_t x);
 
+/// The seed of stream k of a parallel computation (bootstrap replicate,
+/// sampled MMD pair, random feature): SplitMix64(base ^ SplitMix64(k)).
+/// Mixing the counter before xoring decorrelates streams even though the
+/// counters are sequential.
+inline uint64_t StreamSeed(uint64_t base, uint64_t k) {
+  return SplitMix64(base ^ SplitMix64(k));
+}
+
 /// Deterministic pseudo-random generator (xoshiro256++).
 ///
 /// All randomized components of fairlaw (generators, bootstrap, model

@@ -11,8 +11,8 @@
 namespace fairlaw::audit {
 namespace {
 
-/// A table big enough that parallel metric evaluation actually
-/// interleaves: 240 rows, two groups, labels, scores, and a stratum.
+/// A table big enough to fan out as many chunks: 240 rows, two groups,
+/// labels, scores, and a stratum.
 data::Table MakeTable() {
   std::ostringstream csv;
   csv << "sex,pred,label,score,dept\n";
@@ -28,7 +28,7 @@ data::Table MakeTable() {
   return data::ReadCsvString(csv.str()).ValueOrDie();
 }
 
-AuditConfig MakeConfig(size_t num_threads) {
+AuditConfig MakeConfig(size_t num_threads, size_t chunk_rows = 0) {
   AuditConfig config;
   config.protected_column = "sex";
   config.prediction_column = "pred";
@@ -36,6 +36,7 @@ AuditConfig MakeConfig(size_t num_threads) {
   config.score_column = "score";
   config.strata_columns = {"dept"};
   config.num_threads = num_threads;
+  config.chunk_rows = chunk_rows;
   return config;
 }
 
@@ -44,10 +45,15 @@ TEST(AuditorParallelTest, RenderIsByteIdenticalAcrossThreadCounts) {
   const std::string serial =
       RunAudit(table, MakeConfig(1)).ValueOrDie().Render();
   EXPECT_FALSE(serial.empty());
-  for (const size_t threads : {2u, 8u, 0u}) {
-    const std::string parallel =
-        RunAudit(table, MakeConfig(threads)).ValueOrDie().Render();
-    EXPECT_EQ(parallel, serial) << "threads=" << threads;
+  for (const size_t threads : {1u, 2u, 8u, 0u}) {
+    for (const size_t chunk_rows : {0u, 16u}) {
+      const std::string parallel =
+          RunAudit(table, MakeConfig(threads, chunk_rows))
+              .ValueOrDie()
+              .Render();
+      EXPECT_EQ(parallel, serial)
+          << "threads=" << threads << " chunk_rows=" << chunk_rows;
+    }
   }
 }
 
@@ -79,11 +85,14 @@ TEST(AuditorParallelTest, ErrorsMatchSerialRun) {
 
   config.num_threads = 1;
   const auto serial = RunAudit(table, config);
+  ASSERT_FALSE(serial.ok());
   config.num_threads = 8;
-  const auto parallel = RunAudit(table, config);
-  ASSERT_EQ(serial.ok(), parallel.ok());
-  if (!serial.ok()) {
-    EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
+  for (const size_t chunk_rows : {0u, 1u}) {
+    config.chunk_rows = chunk_rows;
+    const auto parallel = RunAudit(table, config);
+    ASSERT_FALSE(parallel.ok()) << "chunk_rows=" << chunk_rows;
+    EXPECT_EQ(parallel.status().ToString(), serial.status().ToString())
+        << "chunk_rows=" << chunk_rows;
   }
 }
 

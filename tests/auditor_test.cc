@@ -212,6 +212,28 @@ TEST(AuditConfigTest, RunAuditRejectsInvalidConfig) {
   EXPECT_FALSE(RunAudit(table, config).ok());
 }
 
+TEST(AuditConfigTest, ProtectedColumnAmongStrataIsAConfigError) {
+  // Every stratum of `gender` holds one gender, so the conditional
+  // metrics could compare nothing; the config check names the column
+  // before any row is read.
+  data::Table table = BiasedTable();
+  AuditConfig config;
+  config.protected_column = "gender";
+  config.prediction_column = "pred";
+  config.strata_columns = {"dept", "gender"};
+  const std::string expected =
+      "AuditConfig: strata_columns must not contain the protected column "
+      "'gender'";
+  EXPECT_EQ(config.Validate().message(), expected);
+  Result<AuditResult> result = RunAudit(table, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), expected);
+
+  config.strata_columns = {"dept"};
+  EXPECT_TRUE(RunAudit(table, config).ok());
+}
+
 // Score table with a deliberate per-group score shift: male scores
 // cluster high, female scores cluster low, so the distribution-drift
 // audit has a real gap to find.

@@ -323,18 +323,14 @@ TEST(ChunkedAuditTest, ErrorsMatchContiguousPathForEveryChunkSize) {
       audit::RunAudit(table, config).status().message();
   ASSERT_FALSE(reference.empty());
   for (size_t chunk_rows : {size_t{3}, size_t{8}, size_t{21}}) {
-    AuditConfig chunked = config;
-    chunked.chunk_rows = chunk_rows;
-    EXPECT_EQ(audit::RunAudit(table, chunked).status().message(), reference)
-        << "chunk_rows=" << chunk_rows;
-    ChunkedTable sliced =
-        ChunkedTable::FromTable(table, chunk_rows).ValueOrDie();
-    EXPECT_EQ(audit::Auditor::Run(audit::AuditSource::FromChunked(sliced),
-                                  config)
-                  .status()
-                  .message(),
-              reference)
-        << "chunk_rows=" << chunk_rows;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      AuditConfig chunked = config;
+      chunked.chunk_rows = chunk_rows;
+      chunked.num_threads = threads;
+      EXPECT_EQ(audit::RunAudit(table, chunked).status().message(),
+                reference)
+          << "chunk_rows=" << chunk_rows << " threads=" << threads;
+    }
   }
   // Empty input: the zero-chunk path reports the same error as the
   // contiguous extractor.
@@ -578,8 +574,8 @@ TEST(ChunkedAuditTest, TuplesThatRenderAlikeShareOneStratum) {
 }
 
 TEST(ChunkedAuditTest, NullAndNonBinaryCellsKeepTheirMessagesAtEveryChunkSize) {
-  // Each case breaks one cell of a clean 30-row table; the expected
-  // strings are the messages of the string-keyed fold.
+  // Each case breaks one cell of a clean 30-row table; every message
+  // names the column it rejects.
   struct Case {
     const char* what;
     size_t bad_row;
@@ -589,9 +585,12 @@ TEST(ChunkedAuditTest, NullAndNonBinaryCellsKeepTheirMessagesAtEveryChunkSize) {
       {"null group", 29,
        "column 'g' has nulls; audits require explicit missing-value "
        "handling upstream"},
-      {"null prediction", 12, "ToDoubles: column has nulls"},
+      {"null prediction", 12,
+       "column 'p' has nulls; audits require explicit missing-value "
+       "handling upstream"},
       {"non-binary prediction", 0, "column 'p' must be binary 0/1"},
-      {"string prediction", 5, "ToDoubles: cannot convert string column"},
+      {"string prediction", 5,
+       "column 'p' is a string column; 0/1 columns must be numeric or bool"},
       {"non-binary label", 20, "column 'y' must be binary 0/1"},
       {"null stratum", 7,
        "column 's2' has nulls; audits require explicit missing-value "
@@ -696,7 +695,8 @@ TEST(ChunkedSubgroupTest, MatchesRowwiseOracleForEveryChunkLayout) {
   const SubgroupAuditResult oracle =
       audit::AuditSubgroupsRowwise(table, attrs, "pred", options)
           .ValueOrDie();
-  for (size_t chunk_rows : {size_t{0}, size_t{7}, size_t{64}, size_t{1000}}) {
+  for (size_t chunk_rows :
+       {size_t{0}, size_t{7}, size_t{13}, size_t{64}, size_t{1000}}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SubgroupAuditOptions chunked = options;
       chunked.chunk_rows = chunk_rows;
@@ -704,28 +704,13 @@ TEST(ChunkedSubgroupTest, MatchesRowwiseOracleForEveryChunkLayout) {
       SubgroupAuditResult result =
           audit::AuditSubgroups(table, attrs, "pred", chunked).ValueOrDie();
       ExpectSameFindings(result, oracle);
+      // Every chunk layout reports the contiguous error strings too.
+      EXPECT_EQ(audit::AuditSubgroups(table, {}, "pred", chunked)
+                    .status()
+                    .message(),
+                "AuditSubgroups: no attribute columns");
     }
   }
-}
-
-TEST(ChunkedSubgroupTest, ChunkedTableOverloadMatchesContiguous) {
-  Table table = data::ReadCsvString(MakeSubgroupCsv(120, 43)).ValueOrDie();
-  const std::vector<std::string> attrs = {"a1", "a2"};
-  SubgroupAuditOptions options;
-  options.max_depth = 2;
-  options.min_support = 3;
-  const SubgroupAuditResult contiguous =
-      audit::AuditSubgroups(table, attrs, "pred", options).ValueOrDie();
-  ChunkedTable chunked = ChunkedTable::FromTable(table, 13).ValueOrDie();
-  SubgroupAuditResult result =
-      audit::AuditSubgroups(chunked, attrs, "pred", options).ValueOrDie();
-  ExpectSameFindings(result, contiguous);
-  // Value dictionaries merged across chunks must reproduce the
-  // contiguous error strings too.
-  EXPECT_EQ(audit::AuditSubgroups(chunked, {}, "pred", options)
-                .status()
-                .message(),
-            "AuditSubgroups: no attribute columns");
 }
 
 // ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
   }
   const data::Table table = data::ReadCsvString(csv.str()).ValueOrDie();
 
-  auto export_for_threads = [&](size_t num_threads) {
+  auto export_for_threads = [&](size_t num_threads, size_t chunk_rows) {
     ResetAll();
     audit::AuditConfig config;
     config.protected_column = "sex";
@@ -239,11 +239,12 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
     config.score_column = "score";
     config.strata_columns = {"dept"};
     config.num_threads = num_threads;
+    config.chunk_rows = chunk_rows;
     EXPECT_TRUE(audit::RunAudit(table, config).ok());
     return ExportJson();
   };
 
-  const std::string serial = export_for_threads(1);
+  const std::string serial = export_for_threads(1, 0);
   EXPECT_NE(serial.find("\"path\":\"run_audit\",\"count\":1"),
             std::string::npos)
       << serial;
@@ -254,7 +255,47 @@ TEST(ObsDeterminismTest, AuditExportIdenticalAcrossThreadCounts) {
             std::string::npos)
       << serial;
   for (const size_t threads : {2u, 8u, 0u}) {
-    EXPECT_EQ(export_for_threads(threads), serial) << "threads=" << threads;
+    EXPECT_EQ(export_for_threads(threads, 0), serial) << "threads=" << threads;
+  }
+  // Chunk counters count real morsels, so each chunk size has its own
+  // export; threads fan the chunks out and must not change it.
+  const std::string chunked = export_for_threads(1, 16);
+  for (const size_t threads : {2u, 8u, 0u}) {
+    EXPECT_EQ(export_for_threads(threads, 16), chunked)
+        << "chunk_rows=16 threads=" << threads;
+  }
+  ResetAll();
+}
+
+// A failing metric does not cut evaluation short: every metric still
+// runs under its span, so the span tree is the same whichever metric
+// fails, and the first failure is the error returned.
+TEST(ObsDeterminismTest, EveryMetricSpanRecordedWhenAMetricFails) {
+  const data::Table table = data::ReadCsvString(
+                                "sex,pred,label\n"
+                                "male,1,1\nmale,0,0\nmale,1,0\nmale,0,1\n")
+                                .ValueOrDie();
+  audit::AuditConfig config;
+  config.protected_column = "sex";
+  config.prediction_column = "pred";
+  config.label_column = "label";
+  ResetAll();
+  const Result<audit::AuditResult> result = audit::RunAudit(table, config);
+  ASSERT_FALSE(result.ok());
+  // One group: demographic_parity, the first metric, needs two.
+  EXPECT_NE(result.status().message().find("need at least 2 protected"),
+            std::string::npos)
+      << result.status().ToString();
+  const std::string json = ExportJson();
+  for (const char* metric :
+       {"demographic_parity", "demographic_disparity",
+        "disparate_impact_ratio", "equal_opportunity", "equalized_odds",
+        "predictive_parity", "accuracy_equality"}) {
+    EXPECT_NE(json.find("\"path\":\"run_audit/metric/" +
+                        std::string(metric) + "\",\"count\":1"),
+              std::string::npos)
+        << metric << "\n"
+        << json;
   }
   ResetAll();
 }

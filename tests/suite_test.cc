@@ -2,6 +2,7 @@
 // pipeline (generate -> train -> predict -> audit everything).
 #include <gtest/gtest.h>
 
+#include "core/json.h"
 #include "core/suite.h"
 #include "ml/logistic_regression.h"
 #include "simulation/scenarios.h"
@@ -112,11 +113,31 @@ TEST(SuiteTest, RepresentationAuditFlagsSkewedComposition) {
   EXPECT_FALSE(report.all_clear);
   EXPECT_NE(report.Render().find("UNDER-REPRESENTED"), std::string::npos);
 
+  // The JSON export carries the failed check that flipped all_clear.
+  const std::string json = SuiteReportToJson(report).ValueOrDie();
+  EXPECT_NE(json.find("\"all_clear\":false"), std::string::npos);
+  const size_t block =
+      json.find("\"representation\":{\"composition_ok\":false");
+  ASSERT_NE(block, std::string::npos);
+  EXPECT_NE(json.find("\"group\":\"female\"", block), std::string::npos);
+  EXPECT_NE(json.find("\"under_represented\":true", block),
+            std::string::npos);
+
   // Matching reference passes.
   config.population_shares = {{"female", 1.0 / 3.0}, {"male", 2.0 / 3.0}};
   SuiteReport matched = RunFairnessSuite(table, config).ValueOrDie();
   ASSERT_TRUE(matched.representation.has_value());
   EXPECT_TRUE(matched.representation->composition_ok);
+  EXPECT_NE(SuiteReportToJson(matched).ValueOrDie().find(
+                "\"representation\":{\"composition_ok\":true"),
+            std::string::npos);
+
+  // Without population shares the block is absent.
+  config.population_shares.clear();
+  EXPECT_EQ(SuiteReportToJson(RunFairnessSuite(table, config).ValueOrDie())
+                .ValueOrDie()
+                .find("\"representation\""),
+            std::string::npos);
 }
 
 TEST(SuiteTest, BadConfigSurfacesError) {

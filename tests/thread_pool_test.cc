@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/thread_pool.h"
@@ -104,6 +106,74 @@ TEST(ThreadPoolTest, ParallelForWithNoWorkReturnsImmediately) {
   bool ran = false;
   pool.ParallelFor(0, [&ran](size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// The free ParallelFor: inline for one thread or one task, a pool built
+// for the call otherwise.
+
+TEST(ParallelForTest, ZeroTasksCallNothing) {
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{8}}) {
+    bool ran = false;
+    ParallelFor(threads, 0, [&ran](size_t) { ran = true; });
+    EXPECT_FALSE(ran) << "threads=" << threads;
+  }
+}
+
+/// Set only on the thread that runs a test body, so a task that reads it
+/// as true ran on the calling thread.
+thread_local bool on_test_thread = false;
+
+TEST(ParallelForTest, OneThreadRunsInIndexOrderOnTheCallingThread) {
+  on_test_thread = true;
+  std::vector<size_t> order;
+  bool inline_calls = true;
+  ParallelFor(1, 6, [&](size_t i) {
+    order.push_back(i);
+    inline_calls = inline_calls && on_test_thread;
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(inline_calls);
+
+  // One task runs inline at any thread count.
+  bool single_inline = false;
+  ParallelFor(8, 1, [&](size_t) { single_inline = on_test_thread; });
+  EXPECT_TRUE(single_inline);
+
+  // More than one task on more than one thread runs on pool workers.
+  std::vector<uint8_t> on_caller(16, 1);
+  ParallelFor(4, on_caller.size(),
+              [&](size_t i) { on_caller[i] = on_test_thread ? 1 : 0; });
+  EXPECT_EQ(on_caller, std::vector<uint8_t>(16, 0));
+  on_test_thread = false;
+}
+
+TEST(ParallelForTest, CoversEveryIndexExactlyOnceOnAPool) {
+  for (size_t threads : {size_t{0}, size_t{8}}) {
+    std::vector<std::atomic<int>> hits(500);
+    ParallelFor(threads, hits.size(), [&hits](size_t i) { ++hits[i]; });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, RethrowsTheLowestIndexExceptionInBothModes) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    std::atomic<int> calls{0};
+    try {
+      ParallelFor(threads, 64, [&calls](size_t i) {
+        ++calls;
+        if (i == 7 || i == 31) {
+          throw std::runtime_error("failed at " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected ParallelFor to rethrow, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "failed at 7") << "threads=" << threads;
+    }
+    // Serially the first throw ends the loop; on a pool every call runs.
+    EXPECT_EQ(calls.load(), threads == 1 ? 8 : 64) << "threads=" << threads;
+  }
 }
 
 }  // namespace

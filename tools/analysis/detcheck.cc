@@ -34,14 +34,14 @@
 //        (stats::Rng), timing through obs::MonotonicNowNs().
 //   3. merge-order
 //        Direct accumulation into by-reference-captured state from a
-//        worker lambda handed to ThreadPool::Submit/ParallelFor
-//        (compound assignment, ++/--, or container push/insert).
-//        Completion order is nondeterministic, so workers must write
-//        only their own slot (results[i] = ...) or hand (seq, value)
-//        pairs to a mutex-guarded aggregator that sorts by sequence
-//        number before merging — the idiom Auditor::RunAudit and the
-//        subgroup enumerator established. Lambdas named at the call
-//        site (auto task = [&](...){...}; pool.ParallelFor(n, task);)
+//        worker lambda handed to ParallelFor or ThreadPool::Submit/
+//        ParallelFor (compound assignment, ++/--, or container
+//        push/insert). Completion order is nondeterministic, so workers
+//        must write only their own slot (results[i] = ...), which the
+//        caller merges in index order after the fan-out — the one
+//        fan-out idiom of the audit fold, the subgroup walk and the
+//        stats kernels. Lambdas named at the call site
+//        (auto task = [&](...){...}; ParallelFor(threads, n, task);)
 //        are followed to their definition.
 //   4. lock-expensive
 //        A MutexLock scope that performs I/O, heavy allocation, or
@@ -408,9 +408,8 @@ class DetChecker {
              "worker lambda accumulates into captured-by-reference '" +
                  written +
                  "': completion order is nondeterministic, so write a "
-                 "per-task slot (results[i] = ...) or hand (seq, value) "
-                 "to a mutex-guarded aggregator that merges in sequence "
-                 "order (the RunAudit idiom)");
+                 "per-task slot (results[i] = ...) and merge the slots in "
+                 "index order after the fan-out (the ParallelFor idiom)");
     }
   }
 

@@ -24,7 +24,13 @@
 //                      raw std::thread and std::this_thread::sleep_for are
 //                      banned outside src/base/: concurrency goes through
 //                      fairlaw::ThreadPool, and synchronization happens on
-//                      state, not wall-clock time.
+//                      state, not wall-clock time. Library code outside
+//                      src/base/ fans out through fairlaw::ParallelFor
+//                      and constructs no ThreadPool of its own; a pool
+//                      that must outlive one fan-out (an in-order
+//                      window, a daemon's workers) opts out with a
+//                      `lint: allow-owned-pool` comment on the line or
+//                      the line above.
 //   6. hot-path        std::vector<bool> is banned tree-wide (its packed
 //                      proxy references defeat spans and word-wise
 //                      kernels; use std::vector<uint8_t> or data::Bitmap),
@@ -106,7 +112,7 @@ class Linter {
       const std::span<const Token> tokens(file.lex.tokens);
       CheckBannedFunctions(path, tokens, library);
       CheckMessagedChecks(path, tokens);
-      CheckThreadPrimitives(path, tokens);
+      CheckThreadPrimitives(path, tokens, file.lex.comments, library);
       CheckTimingSource(path, tokens);
       CheckSimdConfinement(path, tokens);
       CheckHotPath(path, tokens, file.lex.comments);
@@ -119,8 +125,8 @@ class Linter {
 
   /// Most lint rules are structural (a wrong include guard cannot be
   /// "allowed"), so findings bypass the marker machinery; the hot-path
-  /// rule checks its own `lint: allow-string-compare` and
-  /// `lint: allow-per-row-render` markers at the call site.
+  /// and thread-primitive rules check their own `lint: allow-*` markers
+  /// at the flagged site.
   void Report(std::string file, size_t line, std::string rule,
               std::string message) {
     reporter_.ReportAlways(std::move(file), line, std::move(rule),
@@ -232,12 +238,29 @@ class Linter {
   /// Rule 5: concurrency goes through base/thread_pool.h. Raw std::thread
   /// and std::this_thread::sleep_for are banned outside src/base/ — ad-hoc
   /// threads dodge the annotated-mutex discipline, and sleeps in tests are
-  /// how flakes are born.
+  /// how flakes are born. In library code a constructed ThreadPool (a
+  /// `ThreadPool name`, `ThreadPool(`/`ThreadPool{` temporary, `new
+  /// ThreadPool` or `make_unique<ThreadPool>`) is flagged too: one-shot
+  /// fan-out is fairlaw::ParallelFor, so a pool per call site is a second
+  /// copy of it. Pointers, references and `ThreadPool::` names are uses,
+  /// not constructions.
   void CheckThreadPrimitives(const fs::path& path,
-                             std::span<const Token> tokens) {
+                             std::span<const Token> tokens,
+                             const std::vector<Comment>& comments,
+                             bool library) {
     const std::string rel = RelPath(path);
     if (rel.rfind("src/base/", 0) == 0) return;
     for (size_t i = 0; i < tokens.size(); ++i) {
+      if (library && tokens[i].IsIdent("ThreadPool") &&
+          ConstructsPool(tokens, i) &&
+          !HasMarkerOnOrAbove(comments, "lint: allow-owned-pool",
+                              tokens[i].line)) {
+        Report(rel, tokens[i].line, "thread-primitive",
+               "ThreadPool constructed outside base/: fan out through "
+               "fairlaw::ParallelFor (base/thread_pool.h); add `lint: "
+               "allow-owned-pool` only for a pool that must outlive one "
+               "fan-out");
+      }
       if (TokenSeqAt(tokens, i, {"std", "::", "thread"})) {
         Report(rel, tokens[i].line, "thread-primitive",
                "raw std::thread outside base/: use fairlaw::ThreadPool "
@@ -249,6 +272,26 @@ class Linter {
                "state, not on wall-clock time");
       }
     }
+  }
+
+  /// True when the `ThreadPool` identifier at `i` makes a pool rather
+  /// than naming the type through a pointer, reference or scope.
+  static bool ConstructsPool(std::span<const Token> tokens, size_t i) {
+    size_t first = i;  // start of the qualified name `a::b::ThreadPool`
+    while (first >= 2 && tokens[first - 1].IsPunct("::") &&
+           tokens[first - 2].kind == TokenKind::kIdentifier) {
+      first -= 2;
+    }
+    if (first > 0 && tokens[first - 1].IsIdent("new")) return true;
+    if (first >= 2 && tokens[first - 1].IsPunct("<") &&
+        (tokens[first - 2].IsIdent("make_unique") ||
+         tokens[first - 2].IsIdent("make_shared"))) {
+      return true;
+    }
+    if (i + 1 >= tokens.size()) return false;
+    const Token& next = tokens[i + 1];
+    return next.kind == TokenKind::kIdentifier || next.IsPunct("(") ||
+           next.IsPunct("{");
   }
 
   /// Rule 7: one sanctioned clock. Raw std::chrono::steady_clock is

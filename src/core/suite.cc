@@ -66,6 +66,20 @@ std::string SuiteReport::Render() const {
   return out;
 }
 
+std::vector<std::string> SuiteConfig::ColumnsRead() const {
+  std::vector<std::string> columns;
+  for (const std::string* name :
+       {&audit.protected_column, &audit.prediction_column,
+        &audit.label_column, &audit.score_column}) {
+    if (!name->empty()) columns.push_back(*name);
+  }
+  for (const std::vector<std::string>* names :
+       {&audit.strata_columns, &proxy_candidates, &subgroup_columns}) {
+    columns.insert(columns.end(), names->begin(), names->end());
+  }
+  return columns;
+}
+
 Result<SuiteReport> RunFairnessSuite(const data::Table& table,
                                      const SuiteConfig& config) {
   obs::TraceSpan span("fairness_suite");

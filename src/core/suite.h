@@ -38,6 +38,14 @@ struct SuiteConfig {
   /// share); non-empty enables the representation audit (§IV-F).
   std::map<std::string, double> population_shares;
   audit::RepresentationAuditOptions representation_options;
+
+  /// Every column the suite reads: the audit's protected, prediction,
+  /// label, score and strata columns, then the proxy candidates and the
+  /// subgroup columns (the representation audit reads the protected
+  /// column). Unset names are left out. A table read with only these
+  /// columns (data::CsvOptions::include_columns) gives the same report
+  /// as the full table.
+  std::vector<std::string> ColumnsRead() const;
 };
 
 /// Everything the suite produced.

@@ -58,6 +58,11 @@ struct FieldSpan {
 /// per-column pass reads one dense vector instead of a cache line per
 /// cell.
 ///
+/// Projection: once the first row is stored, Project() names the
+/// columns to keep. Every field is still scanned and counted, so quote
+/// state and ragged rows come out as in a full read, but only a kept
+/// column stores spans and unescapes its quoted fields.
+///
 /// Grammar: a quote may open anywhere in a field; inside quotes "" is a
 /// literal quote and delimiters and newlines are field bytes; CR, LF and
 /// CRLF each end a row; a row with no bytes (a blank line) is skipped; a
@@ -76,6 +81,7 @@ class Tokenizer {
   Tokenizer(char delimiter, size_t num_columns)
       : delimiter_(delimiter),
         columns_(num_columns),
+        keep_(num_columns, 1),
         learned_(num_columns > 0) {}
 
   /// Tokenizes rows of text[pos, size), where `pos` is a row boundary,
@@ -101,7 +107,19 @@ class Tokenizer {
   }
 
   void Reserve(size_t rows) {
-    for (std::vector<FieldSpan>& column : columns_) column.reserve(rows);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (keep_[c] != 0) columns_[c].reserve(rows);
+    }
+  }
+
+  /// From now on stores only the columns whose `keep` entry is nonzero,
+  /// and frees the spans of the others. Call once the column count is
+  /// known; `keep` has one entry per column.
+  void Project(const std::vector<uint8_t>& keep) {
+    keep_ = keep;
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (keep_[c] == 0) ReleaseColumn(c);
+    }
   }
 
   /// Frees a column's spans once it has been parsed.
@@ -131,7 +149,9 @@ class Tokenizer {
     if (c >= columns_.size()) {
       if (learned_) return;  // extra field of a ragged row
       columns_.emplace_back();
+      keep_.push_back(1);
     }
+    if (keep_[c] == 0) return;
     columns_[c].push_back(quoted ? Unescape(begin, end)
                                  : FieldSpan{static_cast<uint32_t>(begin),
                                              static_cast<uint32_t>(end)});
@@ -174,9 +194,12 @@ class Tokenizer {
   void DropRow() {
     if (!learned_) {
       columns_.clear();
+      keep_.clear();
     } else {
       const size_t stored = std::min(field_index_, columns_.size());
-      for (size_t c = 0; c < stored; ++c) columns_[c].pop_back();
+      for (size_t c = 0; c < stored; ++c) {
+        if (keep_[c] != 0) columns_[c].pop_back();
+      }
     }
     arena_.resize(row_arena_start_);
     field_index_ = 0;
@@ -184,6 +207,7 @@ class Tokenizer {
 
   char delimiter_;
   std::vector<std::vector<FieldSpan>> columns_;
+  std::vector<uint8_t> keep_;  // 1 for a column whose spans are stored
   bool learned_;
   // Unescaped quoted fields, reserved to the text size when first needed
   // so appends never reallocate while a text is tokenized.
@@ -347,13 +371,13 @@ class CsvStream {
   /// Tokenizes until `max_rows` rows are stored, reading as needed. Stops
   /// early at the end of the file, a ragged row or an unterminated quote.
   FAIRLAW_NODISCARD Status Advance(size_t max_rows) {
-    for (;;) {
+    while (tokenizer_.num_rows() < max_rows) {
       pos_ = tokenizer_.Tokenize(file_.data(), file_.size(), pos_,
                                  file_.eof(),
                                  max_rows - tokenizer_.num_rows());
       if (tokenizer_.num_rows() == max_rows || file_.eof() ||
           tokenizer_.ragged()) {
-        return Status::OK();
+        break;
       }
       // Reading at least the carried bytes again keeps re-tokenizing a
       // long row linear overall.
@@ -361,7 +385,10 @@ class CsvStream {
       if (file_.size() + bytes > kMaxTextBytes) return TooLargeError();
       FAIRLAW_RETURN_NOT_OK(file_.Fill(bytes));
     }
+    return Status::OK();
   }
+
+  void Project(const std::vector<uint8_t>& keep) { tokenizer_.Project(keep); }
 
   /// Drops the stored rows and the bytes they came from.
   void Release() {
@@ -546,11 +573,18 @@ Result<Column> ParseColumn(const ColumnFields& fields,
       return ParseValues<double>(fields, validity, &ParseDouble);
     case DataType::kBool:
       return ParseValues<uint8_t>(fields, validity, &ParseBool);
-    case DataType::kString:
-      return ParseValues<std::string>(
-          fields, validity, [](std::string_view raw) {
-            return Result<std::string>(std::string(raw));
-          });
+    case DataType::kString: {
+      std::vector<std::string> values;
+      values.reserve(fields.size());
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (validity.valid[i] != 0) {
+          values.emplace_back(fields[i]);
+        } else {
+          values.emplace_back();
+        }
+      }
+      return MakeColumn(std::move(values), validity);
+    }
   }
   return Status::Internal("CSV: unknown column type");
 }
@@ -572,12 +606,49 @@ Result<Column> InferColumn(const ColumnFields& fields,
   return ParseColumn(fields, validity, DataType::kString);
 }
 
-/// Column c's name: its stripped header field (the tokenizer's first
-/// stored row), or c0, c1, ... without a header.
-std::string ColumnName(const Tokenizer& tokenizer, size_t c,
-                       const CsvOptions& options) {
-  if (!options.has_header) return std::string("c").append(std::to_string(c));
-  return std::string(StripWhitespace(tokenizer.View(tokenizer.column(c)[0])));
+/// Every column's name: its stripped header field (the tokenizer's first
+/// stored row), or c0, c1, ... without a header. Call before Project()
+/// frees the header spans of dropped columns.
+std::vector<std::string> ColumnNames(const Tokenizer& tokenizer,
+                                     const CsvOptions& options) {
+  std::vector<std::string> names(tokenizer.num_columns());
+  for (size_t c = 0; c < names.size(); ++c) {
+    names[c] = options.has_header
+                   ? std::string(StripWhitespace(
+                         tokenizer.View(tokenizer.column(c)[0])))
+                   : std::string("c").append(std::to_string(c));
+  }
+  return names;
+}
+
+/// 1 for each of `names` that `options` keeps: all of them when
+/// include_columns is empty.
+std::vector<uint8_t> KeepMask(const std::vector<std::string>& names,
+                              const CsvOptions& options) {
+  std::vector<uint8_t> keep(names.size(),
+                            options.include_columns.empty() ? 1 : 0);
+  for (const std::string& wanted : options.include_columns) {
+    for (size_t c = 0; c < names.size(); ++c) {
+      if (names[c] == wanted) keep[c] = 1;
+    }
+  }
+  return keep;
+}
+
+/// Checks every header name, kept or not, with Schema::Make, so an empty
+/// or repeated name fails a projected read as it fails a full one.
+Status CheckNames(const std::vector<std::string>& names) {
+  std::vector<Field> fields(names.size());
+  for (size_t c = 0; c < names.size(); ++c) fields[c].name = names[c];
+  return Schema::Make(std::move(fields)).status();
+}
+
+/// Counts the columns a read built and the ones it skipped.
+void CountProjection(const std::vector<uint8_t>& keep) {
+  const size_t parsed =
+      static_cast<size_t>(std::count(keep.begin(), keep.end(), 1));
+  obs::GetCounter("csv.columns_parsed")->Increment(parsed);
+  obs::GetCounter("csv.columns_skipped")->Increment(keep.size() - parsed);
 }
 
 /// Reads and parses a whole CSV text (ReadCsvString and ReadCsvFile).
@@ -586,11 +657,21 @@ Result<Table> ParseCsvText(std::string_view text, const CsvOptions& options) {
   obs::GetCounter("csv.bytes_read")->Increment(text.size());
   if (text.size() > kMaxTextBytes) return TooLargeError();
   Tokenizer tokenizer(options.delimiter, 0);
-  // The first two rows alone give a row width to size the span vectors
-  // by, so they rarely regrow; then the rest. A row takes at least one
-  // byte per column, which caps the estimate.
+  // The first row names the columns to keep. The first two rows give a
+  // row width to size the kept span vectors by, so they rarely regrow;
+  // then the rest. A row takes at least one byte per column, which caps
+  // the estimate.
   size_t stop = tokenizer.Tokenize(text.data(), text.size(), 0,
-                                   /*at_eof=*/true, 2);
+                                   /*at_eof=*/true, 1);
+  std::vector<std::string> names;
+  std::vector<uint8_t> keep;
+  if (tokenizer.num_rows() == 1) {
+    names = ColumnNames(tokenizer, options);
+    keep = KeepMask(names, options);
+    tokenizer.Project(keep);
+    stop = tokenizer.Tokenize(text.data(), text.size(), stop,
+                              /*at_eof=*/true, 1);
+  }
   if (tokenizer.num_rows() == 2) {
     tokenizer.Reserve(std::min(text.size() / (stop / 2) * 3 / 2,
                                text.size() / tokenizer.num_columns() + 1));
@@ -613,24 +694,25 @@ Result<Table> ParseCsvText(std::string_view text, const CsvOptions& options) {
   if (tokenizer.ragged()) {
     return RaggedRowError(*tokenizer.ragged(), num_columns);
   }
+  FAIRLAW_RETURN_NOT_OK(CheckNames(names));
 
   const size_t first_data_row = options.has_header ? 1 : 0;
   const NullTokens nulls(options);
-  std::vector<Field> fields(num_columns);
+  std::vector<Field> fields;
   std::vector<Column> columns;
-  columns.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
-    fields[c].name = ColumnName(tokenizer, c, options);
+    if (keep[c] == 0) continue;
     const ColumnFields cells(tokenizer, c, first_data_row);
     FAIRLAW_ASSIGN_OR_RETURN(Column column,
                              InferColumn(cells, MarkNulls(cells, nulls)));
-    fields[c].type = column.type();
+    fields.push_back(Field{names[c], column.type()});
     columns.push_back(std::move(column));
     tokenizer.ReleaseColumn(c);
   }
   FAIRLAW_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
   obs::GetCounter("csv.rows_loaded")
       ->Increment(tokenizer.num_rows() - first_data_row);
+  CountProjection(keep);
   return Table::Make(std::move(schema), std::move(columns));
 }
 
@@ -708,6 +790,7 @@ struct CsvChunkReader::Impl {
   CsvChunkReader::Options options;
   size_t chunk_rows = kDefaultChunkRows;
   Schema schema;
+  std::vector<size_t> kept;  // file column of each schema field
   size_t num_rows = 0;   // data rows in the file
   size_t rows_read = 0;  // data rows emitted so far
   std::optional<CsvStream> stream;  // the read pass, past the header
@@ -736,12 +819,20 @@ Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
       options.chunk_rows == 0 ? kDefaultChunkRows : options.chunk_rows;
 
   // Pass 1: inference. Holds one chunk of tokenized rows plus O(columns)
-  // type flags, never the file.
+  // type flags, never the file. The first row names the columns to keep;
+  // it stays stored, so the first chunk still ends at chunk_rows rows.
   FAIRLAW_ASSIGN_OR_RETURN(FileReader infer_file, FileReader::Open(path));
   CsvStream infer(std::move(infer_file), Tokenizer(options.csv.delimiter, 0));
-  const NullTokens nulls(options.csv);
+  FAIRLAW_RETURN_NOT_OK(infer.Advance(1));
   std::vector<std::string> names;
-  std::vector<ColumnTypeFlags> flags;
+  std::vector<uint8_t> keep;
+  if (infer.tokenizer().num_rows() == 1) {
+    names = ColumnNames(infer.tokenizer(), options.csv);
+    keep = KeepMask(names, options.csv);
+    infer.Project(keep);
+  }
+  const NullTokens nulls(options.csv);
+  std::vector<ColumnTypeFlags> flags(names.size());
   size_t rows = 0;  // header included
   for (;;) {
     FAIRLAW_RETURN_NOT_OK(infer.Advance(impl.chunk_rows));
@@ -749,16 +840,9 @@ Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
     if (tokenizer.ragged()) {
       return RaggedRowError(*tokenizer.ragged(), tokenizer.num_columns());
     }
-    size_t first_row = 0;
-    if (rows == 0 && tokenizer.num_rows() > 0) {
-      names.resize(tokenizer.num_columns());
-      flags.assign(tokenizer.num_columns(), ColumnTypeFlags{});
-      for (size_t c = 0; c < names.size(); ++c) {
-        names[c] = ColumnName(tokenizer, c, options.csv);
-      }
-      first_row = options.csv.has_header ? 1 : 0;
-    }
+    const size_t first_row = rows == 0 && options.csv.has_header ? 1 : 0;
     for (size_t c = 0; c < flags.size(); ++c) {
+      if (keep[c] == 0) continue;
       const ColumnFields cells(tokenizer, c, first_row);
       for (size_t i = 0; i < cells.size(); ++i) {
         if (!nulls.Matches(cells[i])) flags[c].Observe(cells[i]);
@@ -773,18 +857,23 @@ Result<CsvChunkReader> CsvChunkReader::Make(const std::string& path,
   if (rows == 0) return Status::Invalid("CSV: input has no rows");
   obs::GetCounter("csv.bytes_read")->Increment(infer.bytes_read());
 
-  std::vector<Field> fields(names.size());
+  FAIRLAW_RETURN_NOT_OK(CheckNames(names));
+  std::vector<Field> fields;
   for (size_t c = 0; c < names.size(); ++c) {
-    fields[c] = Field{names[c], flags[c].Resolve()};
+    if (keep[c] == 0) continue;
+    fields.push_back(Field{names[c], flags[c].Resolve()});
+    impl.kept.push_back(c);
   }
   FAIRLAW_ASSIGN_OR_RETURN(impl.schema, Schema::Make(std::move(fields)));
   impl.num_rows = options.csv.has_header ? rows - 1 : rows;
+  CountProjection(keep);
 
   // Pass 2 setup: reopen and consume the header so Next() starts at the
   // first data row.
   FAIRLAW_ASSIGN_OR_RETURN(FileReader file, FileReader::Open(path));
   impl.stream.emplace(std::move(file),
                       Tokenizer(options.csv.delimiter, names.size()));
+  impl.stream->Project(keep);
   if (options.csv.has_header) {
     FAIRLAW_RETURN_NOT_OK(impl.stream->Advance(1));
     if (impl.stream->tokenizer().num_rows() != 1) return FileShrankError();
@@ -803,18 +892,18 @@ Result<std::optional<Table>> CsvChunkReader::Next() {
   FAIRLAW_RETURN_NOT_OK(stream.Advance(want));
   const Tokenizer& tokenizer = stream.tokenizer();
   if (tokenizer.ragged()) {
-    return RaggedRowError(*tokenizer.ragged(), impl.schema.num_fields());
+    return RaggedRowError(*tokenizer.ragged(), tokenizer.num_columns());
   }
   if (tokenizer.unterminated_quote()) return UnterminatedQuoteError();
   if (tokenizer.num_rows() < want) return FileShrankError();
   const NullTokens nulls(impl.options.csv);
   std::vector<Column> columns;
-  columns.reserve(impl.schema.num_fields());
-  for (size_t c = 0; c < impl.schema.num_fields(); ++c) {
-    const ColumnFields cells(tokenizer, c, 0);
+  columns.reserve(impl.kept.size());
+  for (size_t f = 0; f < impl.kept.size(); ++f) {
+    const ColumnFields cells(tokenizer, impl.kept[f], 0);
     FAIRLAW_ASSIGN_OR_RETURN(
         Column column, ParseColumn(cells, MarkNulls(cells, nulls),
-                                   impl.schema.field(c).type));
+                                   impl.schema.field(f).type));
     columns.push_back(std::move(column));
   }
   stream.Release();
@@ -824,25 +913,6 @@ Result<std::optional<Table>> CsvChunkReader::Next() {
   FAIRLAW_ASSIGN_OR_RETURN(Table chunk,
                            Table::Make(impl.schema, std::move(columns)));
   return std::optional<Table>(std::move(chunk));
-}
-
-Result<ChunkedTable> ReadCsvFileChunked(const std::string& path,
-                                        const CsvChunkReader::Options& options) {
-  FAIRLAW_ASSIGN_OR_RETURN(CsvChunkReader reader,
-                           CsvChunkReader::Make(path, options));
-  std::vector<Table> chunks;
-  for (;;) {
-    FAIRLAW_ASSIGN_OR_RETURN(std::optional<Table> chunk, reader.Next());
-    if (!chunk.has_value()) break;
-    chunks.push_back(std::move(*chunk));
-  }
-  if (chunks.empty()) {
-    // Header-only file: a zero-chunk table that still carries the schema.
-    TableBuilder builder(reader.schema());
-    FAIRLAW_ASSIGN_OR_RETURN(Table empty, builder.Finish());
-    return ChunkedTable::FromTable(empty, options.chunk_rows);
-  }
-  return ChunkedTable::FromChunks(std::move(chunks));
 }
 
 }  // namespace fairlaw::data

@@ -19,13 +19,23 @@ struct CsvOptions {
   bool has_header = true;
   /// Strings that read as null (after whitespace stripping).
   std::vector<std::string> null_tokens = {"", "NA", "null", "NULL"};
+  /// Names of the columns to build, matched against the stripped header
+  /// names (c0, c1, ... without a header); empty builds every column.
+  /// Kept columns stay in file order and repeats change nothing. A name
+  /// the file lacks is ignored, so a later GetColumn reports it as it
+  /// would on the full table. Every row is still tokenized and every
+  /// header name checked, so a projected read fails exactly where and
+  /// how the full read fails; only the kept columns are typed, parsed
+  /// and stored.
+  std::vector<std::string> include_columns = {};
 };
 
-/// Parses CSV text into a table. Column types are inferred from the data:
-/// a column is int64 if every non-null cell parses as an integer, else
-/// double if every non-null cell parses as a number, else bool if every
-/// non-null cell is true/false, else string. Quoted fields ("a,b" with
-/// embedded delimiters and "" escapes) are supported.
+/// Parses CSV text into a table of the columns `options` keeps. Column
+/// types are inferred from the data: a column is int64 if every non-null
+/// cell parses as an integer, else double if every non-null cell parses
+/// as a number, else bool if every non-null cell is true/false, else
+/// string. Quoted fields ("a,b" with embedded delimiters and ""
+/// escapes) are supported.
 FAIRLAW_NODISCARD Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options = {});
 
@@ -56,7 +66,9 @@ FAIRLAW_NODISCARD Status WriteCsvFile(const Table& table, const std::string& pat
 /// therefore every parsed cell — is byte-identical to what ReadCsvFile
 /// would produce for the same file. Next() then re-streams the file and
 /// parses each chunk of at most `chunk_rows` rows with ReadCsvFile's
-/// column parser at the schema's types.
+/// column parser at the schema's types. Both passes honour
+/// CsvOptions::include_columns as ReadCsvFile does: only the kept
+/// columns are typed and parsed, and schema() lists only them.
 class CsvChunkReader {
  public:
   struct Options {
@@ -76,7 +88,8 @@ class CsvChunkReader {
   CsvChunkReader& operator=(CsvChunkReader&&) noexcept;
   ~CsvChunkReader();
 
-  /// The inferred schema (identical to ReadCsvFile's).
+  /// The inferred schema of the kept columns (identical to
+  /// ReadCsvFile's).
   const Schema& schema() const;
 
   /// Total data rows in the file (known after the inference pass).
@@ -91,13 +104,6 @@ class CsvChunkReader {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Reads a whole CSV file through the streaming reader into a
-/// ChunkedTable — the in-memory counterpart of driving CsvChunkReader by
-/// hand, used where the chunk layout matters but the data fits in RAM.
-FAIRLAW_NODISCARD Result<ChunkedTable> ReadCsvFileChunked(
-    const std::string& path,
-    const CsvChunkReader::Options& options = CsvChunkReader::Options{});
 
 }  // namespace fairlaw::data
 

@@ -30,6 +30,7 @@
 #include "stats/distance.h"
 #include "stats/rng.h"
 #include "stats/sort.h"
+#include "tests/read_csv_chunked.h"
 
 namespace fairlaw {
 namespace {

@@ -6,7 +6,9 @@
 // the oracle: schema, every value, the null mask, the sign bit of -0.0,
 // and on failure the same status code and message. The streaming reader
 // (ReadCsvFileChunked at chunk sizes 1, 7 and 65536) must then equal
-// ReadCsvString. Texts mix quotes opened mid-field, "" escapes,
+// ReadCsvString, and a read of both readers projected onto random
+// include_columns must equal the full read's selected columns or fail
+// with its error. Texts mix quotes opened mid-field, "" escapes,
 // delimiters and newlines inside quotes, CR/LF/CRLF, blank lines,
 // trailing delimiters, missing final newlines, ragged rows, unterminated
 // quotes, padded null tokens, -0, integers beyond int64 and every bool
@@ -15,6 +17,7 @@
 // stats::Rng seed, which every failure prints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +32,7 @@
 #include "data/chunked.h"
 #include "data/csv.h"
 #include "stats/rng.h"
+#include "tests/read_csv_chunked.h"
 
 namespace fairlaw::data {
 namespace {
@@ -589,6 +593,155 @@ TEST(CsvFuzzTest, ReadersMatchTheOracleAndEachOther) {
   std::remove(path.c_str());
   // The generator must reach the success path often, not only errors.
   EXPECT_GT(tables, static_cast<size_t>(kCases) / 3);
+}
+
+// ---------------------------------------------------------------------------
+// Projection: a read that keeps some columns must equal the full read's
+// selected columns, and fail exactly as the full read fails.
+
+/// A random include_columns list: empty (every column), every column by
+/// name, or a few names that may repeat, miss the file, carry unstripped
+/// spaces or name a duplicated header.
+std::vector<std::string> DrawProjection(Rng* rng, size_t max_columns) {
+  static const char* const kNames[] = {"c0",    "c1",     "c2", "c3", "c4",
+                                       "dup",   " c0 ",   "",   "absent"};
+  std::vector<std::string> include;
+  const uint64_t mode = rng->UniformInt(6);
+  if (mode == 0) return include;
+  if (mode == 1) {
+    for (size_t i = 0; i < max_columns; ++i) {
+      include.push_back("c" + std::to_string(i));
+    }
+    return include;
+  }
+  for (uint64_t k = 1 + rng->UniformInt(4); k > 0; --k) {
+    include.push_back(Pick(rng, kNames));
+  }
+  return include;
+}
+
+bool Keeps(const std::vector<std::string>& include, const std::string& name) {
+  return include.empty() ||
+         std::find(include.begin(), include.end(), name) != include.end();
+}
+
+/// The fields of `schema` that `include` keeps, in schema order.
+Schema SelectSchema(const Schema& schema,
+                    const std::vector<std::string>& include) {
+  std::vector<Field> fields;
+  for (const Field& field : schema.fields()) {
+    if (Keeps(include, field.name)) fields.push_back(field);
+  }
+  return Schema::Make(std::move(fields)).ValueOrDie();
+}
+
+/// The columns of `table` that `include` keeps, in table order.
+Table Select(const Table& table, const std::vector<std::string>& include) {
+  std::vector<Column> columns;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (Keeps(include, table.schema().field(c).name)) {
+      columns.push_back(table.column(c));
+    }
+  }
+  return Table::Make(SelectSchema(table.schema(), include),
+                     std::move(columns))
+      .ValueOrDie();
+}
+
+std::string StatusDiff(const Status& got, const Status& want) {
+  return got.ToString() == want.ToString()
+             ? ""
+             : "got " + got.ToString() + ", want " + want.ToString();
+}
+
+/// Steps a full and a projected streaming reader in lockstep: every
+/// status must match the full reader's, and each projected chunk must
+/// equal the full chunk's selected columns.
+std::string ProjectedStreamDiff(const std::string& path,
+                                const CsvOptions& options,
+                                const std::vector<std::string>& include,
+                                size_t chunk_rows) {
+  CsvChunkReader::Options full_options;
+  full_options.csv = options;
+  full_options.chunk_rows = chunk_rows;
+  CsvChunkReader::Options projected_options = full_options;
+  projected_options.csv.include_columns = include;
+  Result<CsvChunkReader> full = CsvChunkReader::Make(path, full_options);
+  Result<CsvChunkReader> projected =
+      CsvChunkReader::Make(path, projected_options);
+  std::string diff = StatusDiff(projected.status(), full.status());
+  if (!diff.empty() || !full.ok()) return diff;
+  if (projected->num_rows() != full->num_rows()) return "row counts differ";
+  if (!(projected->schema() == SelectSchema(full->schema(), include))) {
+    return "schema differs";
+  }
+  for (size_t c = 0;; ++c) {
+    Result<std::optional<Table>> want = full->Next();
+    Result<std::optional<Table>> got = projected->Next();
+    diff = StatusDiff(got.status(), want.status());
+    if (!diff.empty() || !want.ok()) return diff;
+    if (got->has_value() != want->has_value()) return "chunk counts differ";
+    if (!want->has_value()) return "";
+    diff = TableDiff(**got, Select(**want, include));
+    if (!diff.empty()) return "chunk " + std::to_string(c) + " " + diff;
+  }
+}
+
+std::string CheckProjection(const Case& c, const std::string& path,
+                            const std::vector<std::string>& include) {
+  CsvOptions projected = c.options;
+  projected.include_columns = include;
+  const Result<Table> full = ReadCsvString(c.text, c.options);
+  const Result<Table> got = ReadCsvString(c.text, projected);
+  if (!full.ok() || !got.ok()) {
+    const std::string diff = StatusDiff(got.status(), full.status());
+    if (!diff.empty()) return "whole text: " + diff;
+  } else {
+    const std::string diff = TableDiff(*got, Select(*full, include));
+    if (!diff.empty()) return "whole text: " + diff;
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << c.text;
+  }
+  for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{65536}}) {
+    const std::string diff =
+        ProjectedStreamDiff(path, c.options, include, chunk_rows);
+    if (!diff.empty()) {
+      return "stream (chunk_rows " + std::to_string(chunk_rows) + "): " + diff;
+    }
+  }
+  return "";
+}
+
+std::string Joined(const std::vector<std::string>& names) {
+  std::string out = "[";
+  for (const std::string& name : names) out += "'" + name + "'";
+  return out + "]";
+}
+
+TEST(CsvFuzzTest, ProjectedReadsMatchTheFullRead) {
+  const std::string path = ::testing::TempDir() + "/fairlaw_csv_project.csv";
+  size_t projected_tables = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const uint64_t seed = kBaseSeed + static_cast<uint64_t>(i);
+    Rng rng(seed);
+    const Case c = Generate(&rng, i % 100 == 99 ? 2500 : rng.UniformInt(12));
+    // Drawn after the text, so each seed reads the text of the test
+    // above.
+    const std::vector<std::string> include = DrawProjection(&rng, 5);
+    const std::string diff = CheckProjection(c, path, include);
+    ASSERT_TRUE(diff.empty()) << "seed " << seed << " include "
+                              << Joined(include) << ": " << diff
+                              << "\ntext: " << Escaped(c.text);
+    CsvOptions projected = c.options;
+    projected.include_columns = include;
+    const Result<Table> table = ReadCsvString(c.text, projected);
+    if (table.ok() && table->num_columns() > 0) ++projected_tables;
+  }
+  std::remove(path.c_str());
+  // The draws must reach non-empty projected tables often.
+  EXPECT_GT(projected_tables, static_cast<size_t>(kCases) / 5);
 }
 
 TEST(CsvFuzzTest, BlockEdgeSplitsQuotesCrLfAndEscapes) {

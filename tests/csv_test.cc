@@ -3,9 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/csv.h"
+#include "tests/read_csv_chunked.h"
 
 namespace fairlaw::data {
 namespace {
@@ -158,6 +161,90 @@ TEST(CsvTest, NegativeZeroKeepsItsSignInDoubleColumns) {
   const double zero = table.column(0).GetDouble(0).ValueOrDie();
   EXPECT_EQ(zero, 0.0);
   EXPECT_TRUE(std::signbit(zero));
+}
+
+TEST(CsvProjectionTest, KeepsRequestedColumnsInFileOrder) {
+  const std::string text = "a,b,c,d\nx,1,2.5,true\ny,,3.5,false\n";
+  CsvOptions options;
+  options.include_columns = {"d", "absent", "b", "d"};
+  const Table table = ReadCsvString(text, options).ValueOrDie();
+  ASSERT_EQ(table.num_columns(), 2u);
+  EXPECT_EQ(table.schema().field(0).name, "b");
+  EXPECT_EQ(table.schema().field(0).type, DataType::kInt64);
+  EXPECT_EQ(table.schema().field(1).name, "d");
+  EXPECT_EQ(table.schema().field(1).type, DataType::kBool);
+  EXPECT_EQ(table.num_rows(), 2u);
+  EXPECT_FALSE(table.column(0).IsValid(1));
+  EXPECT_EQ(table.GetColumn("absent").status().ToString(),
+            ReadCsvString(text).ValueOrDie().GetColumn("absent")
+                .status().ToString());
+
+  // Without a header the names are c0, c1, ...
+  options.has_header = false;
+  options.include_columns = {"c2", "c0"};
+  const Table unnamed = ReadCsvString(text, options).ValueOrDie();
+  ASSERT_EQ(unnamed.num_columns(), 2u);
+  EXPECT_EQ(unnamed.schema().field(0).name, "c0");
+  EXPECT_EQ(unnamed.schema().field(1).name, "c2");
+  EXPECT_EQ(unnamed.num_rows(), 3u);
+  EXPECT_EQ(unnamed.column(1).GetString(0).ValueOrDie(), "c");
+}
+
+/// The status of reading `text` whole and of streaming it from `path`
+/// to the end, as "<whole> | <stream>".
+std::string ReadStatuses(const std::string& text, const std::string& path,
+                         const CsvOptions& options) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  CsvChunkReader::Options stream_options;
+  stream_options.csv = options;
+  stream_options.chunk_rows = 1;
+  return ReadCsvString(text, options).status().ToString() + " | " +
+         ReadCsvFileChunked(path, stream_options).status().ToString();
+}
+
+TEST(CsvProjectionTest, ErrorsMatchTheFullRead) {
+  const std::string path = ::testing::TempDir() + "/fairlaw_csv_project.csv";
+  const struct {
+    const char* text;
+    const char* error;
+  } kCases[] = {
+      {"a,b,c\n1,2,3\n4,5\n", "CSV: row 2 has 2 fields, expected 3"},
+      {"a,b,c\n1,2,3\n4,5,6,7\n", "CSV: row 2 has 4 fields, expected 3"},
+      // The quote left open sits in a column no projection keeps.
+      {"a,b,c\n1,\"open,3\n", "CSV: unterminated quoted field"},
+      {"a,b,b\n1,2,3\n", "Schema: duplicate field name 'b'"},
+      {"a, ,c\n1,2,3\n", "Schema: field name must be non-empty"},
+      {"\n\r\n", "CSV: input has no rows"},
+  };
+  for (const auto& c : kCases) {
+    const std::string want = "invalid argument: " + std::string(c.error);
+    EXPECT_EQ(ReadStatuses(c.text, path, CsvOptions{}), want + " | " + want)
+        << c.text;
+    for (const std::vector<std::string>& include :
+         {std::vector<std::string>{"a"}, std::vector<std::string>{"c", "a"},
+          std::vector<std::string>{"absent"}}) {
+      CsvOptions options;
+      options.include_columns = include;
+      EXPECT_EQ(ReadStatuses(c.text, path, options), want + " | " + want)
+          << c.text << " keeping " << include.size() << " names";
+    }
+  }
+  std::remove(path.c_str());
+
+  const std::string dir = ::testing::TempDir() + "/fairlaw_csv_project_dir";
+  std::filesystem::create_directories(dir);
+  CsvOptions options;
+  options.include_columns = {"a"};
+  EXPECT_EQ(ReadCsvFile(dir, options).status().ToString(),
+            ReadCsvFile(dir).status().ToString());
+  CsvChunkReader::Options stream_options;
+  stream_options.csv = options;
+  EXPECT_EQ(CsvChunkReader::Make(dir, stream_options).status().ToString(),
+            "io error: error reading '" + dir + "'");
+  std::filesystem::remove(dir);
 }
 
 }  // namespace

@@ -1,10 +1,22 @@
 // Integration: the one-call fairness suite over a full synthetic
-// pipeline (generate -> train -> predict -> audit everything).
+// pipeline (generate -> train -> predict -> audit everything), and the
+// same report from a CSV read of only the columns the suite names.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "audit/report_io.h"
+#include "audit/source.h"
 #include "core/json.h"
 #include "core/suite.h"
+#include "data/csv.h"
 #include "ml/logistic_regression.h"
+#include "obs/obs.h"
 #include "simulation/scenarios.h"
 
 namespace fairlaw {
@@ -145,6 +157,165 @@ TEST(SuiteTest, BadConfigSurfacesError) {
   SuiteConfig config = FullConfig();
   config.audit.protected_column = "missing";
   EXPECT_FALSE(RunFairnessSuite(table, config).ok());
+}
+
+// ---------------------------------------------------------------------------
+// A read projected onto SuiteConfig::ColumnsRead() gives the same report
+// as the full read.
+
+/// Promotion decisions plus a score column and an unused note column
+/// whose cells carry delimiters, quotes and newlines, as CSV text.
+std::string PromotionCsv(uint64_t seed) {
+  Rng rng(seed);
+  sim::PromotionOptions options;
+  options.n = 3000;
+  data::Table table =
+      sim::MakePromotionScenario(options, &rng).ValueOrDie().table;
+  std::vector<double> scores(table.num_rows());
+  std::vector<std::string> notes(table.num_rows());
+  const data::Column& promoted = *table.GetColumn("promoted").ValueOrDie();
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const double base = promoted.GetInt64(r).ValueOrDie() == 1 ? 0.5 : 0.0;
+    scores[r] = base + 0.5 * rng.Uniform();
+    notes[r] = r % 3 == 0 ? "a,\"b\"\nc" : "plain";
+  }
+  table = table.AddColumn("score", data::Column::FromDoubles(scores))
+              .ValueOrDie()
+              .AddColumn("note", data::Column::FromStrings(notes))
+              .ValueOrDie();
+  return data::WriteCsvString(table).ValueOrDie();
+}
+
+template <size_t N>
+std::vector<std::string> Subset(Rng* rng, const char* const (&names)[N]) {
+  std::vector<std::string> out;
+  for (const char* name : names) {
+    if (rng->Bernoulli(0.4)) out.push_back(name);
+  }
+  return out;
+}
+
+/// A random suite over the promotion columns; now and then it names a
+/// column the file lacks, so error paths are compared too.
+SuiteConfig RandomConfig(Rng* rng) {
+  static const char* const kProxies[] = {"performance", "tenure", "race",
+                                         "note"};
+  static const char* const kSubgroups[] = {"gender", "race"};
+  SuiteConfig config;
+  const bool by_gender = rng->Bernoulli(0.6);
+  config.audit.protected_column = by_gender ? "gender" : "race";
+  config.audit.prediction_column = rng->Bernoulli(0.95) ? "promoted" : "absent";
+  if (rng->Bernoulli(0.7)) config.audit.label_column = "merit";
+  if (!config.audit.label_column.empty() && rng->Bernoulli(0.4)) {
+    config.audit.score_column = "score";
+  }
+  if (rng->Bernoulli(0.4)) {
+    config.audit.strata_columns.push_back(by_gender ? "race" : "gender");
+  }
+  if (rng->Bernoulli(0.05)) config.audit.strata_columns.push_back("absent");
+  config.proxy_candidates = Subset(rng, kProxies);
+  config.subgroup_columns = Subset(rng, kSubgroups);
+  config.subgroup_options.max_depth = 2;
+  config.check_sampling = rng->Bernoulli(0.7);
+  config.check_four_fifths = rng->Bernoulli(0.7);
+  if (rng->Bernoulli(0.3)) {
+    const double share = rng->Uniform(0.2, 0.8);
+    config.population_shares =
+        by_gender ? std::map<std::string, double>{{"female", share},
+                                                  {"male", 1 - share}}
+                  : std::map<std::string, double>{{"caucasian", share},
+                                                  {"non_caucasian",
+                                                   1 - share}};
+  }
+  return config;
+}
+
+std::string SuiteOutcome(const data::Table& table, const SuiteConfig& config) {
+  Result<SuiteReport> report = RunFairnessSuite(table, config);
+  if (!report.ok()) return report.status().ToString();
+  return SuiteReportToJson(*report).ValueOrDie();
+}
+
+/// How many of the file's columns `include` names.
+uint64_t ColumnsNamed(const data::Table& full,
+                      const std::vector<std::string>& include) {
+  uint64_t named = 0;
+  for (const data::Field& field : full.schema().fields()) {
+    named += std::count(include.begin(), include.end(), field.name) > 0;
+  }
+  return named;
+}
+
+TEST(SuiteTest, ProjectedReadGivesTheFullReadsReport) {
+  const std::string text = PromotionCsv(21);
+  const data::Table full = data::ReadCsvString(text).ValueOrDie();
+  ASSERT_EQ(full.num_columns(), 8u);
+  const std::string path =
+      ::testing::TempDir() + "/fairlaw_suite_projection.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  size_t clean_runs = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const SuiteConfig config = RandomConfig(&rng);
+    data::CsvOptions options;
+    options.include_columns = config.ColumnsRead();
+    const uint64_t parsed = ColumnsNamed(full, options.include_columns);
+    [[maybe_unused]] const uint64_t skipped = full.num_columns() - parsed;
+
+    obs::ResetAll();
+    const data::Table projected =
+        data::ReadCsvString(text, options).ValueOrDie();
+    EXPECT_EQ(projected.num_columns(), parsed) << "seed " << seed;
+#ifndef FAIRLAW_OBS_DISABLED
+    EXPECT_EQ(obs::GetCounter("csv.columns_parsed")->Value(), parsed);
+    EXPECT_EQ(obs::GetCounter("csv.columns_skipped")->Value(), skipped);
+#endif
+    const std::string want = SuiteOutcome(full, config);
+    EXPECT_EQ(SuiteOutcome(projected, config), want) << "seed " << seed;
+    clean_runs += want.front() == '{' ? 1 : 0;
+
+    // The streaming audit reads the same projection, and its counters
+    // do not depend on threads or chunk size.
+    audit::AuditConfig audit_config = config.audit;
+    const Result<audit::AuditResult> in_memory =
+        audit::RunAudit(full, audit_config);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      for (const size_t chunk_rows : {size_t{0}, size_t{500}}) {
+        audit_config.num_threads = threads;
+        audit_config.chunk_rows = chunk_rows;
+        obs::ResetAll();
+        const Result<audit::AuditResult> streamed = audit::Auditor::Run(
+            audit::AuditSource::FromCsv(path, options), audit_config);
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " threads " + std::to_string(threads) +
+                                  " chunk_rows " + std::to_string(chunk_rows);
+        ASSERT_EQ(streamed.ok(), in_memory.ok()) << where;
+        if (in_memory.ok()) {
+          EXPECT_EQ(audit::AuditResultToJson(*streamed).ValueOrDie(),
+                    audit::AuditResultToJson(*in_memory).ValueOrDie())
+              << where;
+        } else {
+          EXPECT_EQ(streamed.status().ToString(),
+                    in_memory.status().ToString())
+              << where;
+        }
+#ifndef FAIRLAW_OBS_DISABLED
+        if (!audit_config.Validate().ok()) continue;  // no file was read
+        EXPECT_EQ(obs::GetCounter("csv.columns_parsed")->Value(), parsed)
+            << where;
+        EXPECT_EQ(obs::GetCounter("csv.columns_skipped")->Value(), skipped)
+            << where;
+#endif
+      }
+    }
+  }
+  obs::ResetAll();
+  std::remove(path.c_str());
+  // Most draws must reach a full report, not only errors.
+  EXPECT_GT(clean_runs, 20u);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Audit identity smoke, two parts.
-# 1. CSV ingest: one generated hiring CSV is rewritten four ways (CRLF
+# 1. CSV ingest: one generated hiring CSV is rewritten six ways (CRLF
 #    line endings, every field quoted, final newline stripped, blank
-#    lines interleaved). fairlaw_audit --json must print byte-identical
-#    reports for all five files at --threads=1 and --threads=4, and the
-#    --streaming reports of all five must match each other.
+#    lines interleaved, only the audited columns kept, and an unused
+#    column added whose cells hold quoted delimiters, embedded newlines
+#    and "" escapes). fairlaw_audit --json must print byte-identical
+#    reports for all seven files at --threads=1 and --threads=4, and the
+#    --streaming reports of all seven must match each other. A ragged
+#    row in the wide file must fail both paths with the reader's error
+#    text and exit code 1.
 # 2. Risk suite: one generated promotion CSV audited with strata,
 #    subgroups and proxies at --threads=1/4 x --chunk-rows=0/1000/65536;
 #    every report must be byte-identical to the first.
@@ -32,7 +36,17 @@ awk -F, -v OFS=, '{ for (i = 1; i <= NF; i++) $i = "\"" $i "\""; print }' \
 head -c -1 "$dir/plain.csv" >"$dir/no_final_newline.csv"
 awk '{ print; if (NR % 3 == 0) print "" }' "$dir/plain.csv" \
     >"$dir/blank_lines.csv"
-variants=(plain crlf quoted no_final_newline blank_lines)
+# The audit reads gender, merit and hired; "memo" is read by nothing.
+cut -d, -f1,5,6 "$dir/plain.csv" >"$dir/narrow.csv"
+wide_csv() {  # <data line that loses its memo field, or 0>
+  awk -v ragged="$1" '
+    NR == 1 { print $0 ",memo"; next }
+    NR == ragged { print; next }
+    NR % 3 == 0 { print $0 ",\"x, \"\"y\"\"\nz,\""; next }
+    { print $0 ",\"a,b\"" }' "$dir/plain.csv"
+}
+wide_csv 0 >"$dir/wide.csv"
+variants=(plain crlf quoted no_final_newline blank_lines narrow wide)
 
 # Exit 2 means the audit found violations, which is a valid report.
 run_audit() {
@@ -61,6 +75,30 @@ if ! grep -q "\"count\":" "$dir/plain.t1.json"; then
   exit 1
 fi
 echo "audit identity ok: ${#variants[@]} CSV framings byte-identical"
+
+# Line 3 of the file is CSV row 2 (the header is row 0).
+wide_csv 3 >"$dir/wide_ragged.csv"
+ragged="invalid argument: CSV: row 2 has 6 fields, expected 7"
+expect_error() {  # <expected stderr> <fairlaw_audit args...>
+  local want="$1"
+  shift
+  local rc=0
+  "$audit" "$@" --protected=gender --pred=hired --label=merit --json \
+      >"$dir/err.out" 2>"$dir/err.txt" || rc=$?
+  if [ "$rc" -ne 1 ] || [ -s "$dir/err.out" ] ||
+      [ "$(cat "$dir/err.txt")" != "$want" ]; then
+    echo "fairlaw_audit $* exited $rc with: $(cat "$dir/err.txt")" >&2
+    echo "expected exit 1 with: $want" >&2
+    exit 1
+  fi
+}
+for t in 1 4; do
+  expect_error "error reading '$dir/wide_ragged.csv': $ragged" \
+      "$dir/wide_ragged.csv" --threads="$t"
+  expect_error "audit error: $ragged" "$dir/wide_ragged.csv" --streaming \
+      --threads="$t"
+done
+echo "audit identity ok: ragged row in the wide file fails as before"
 
 "$gen" promotion --n="$n" --out="$dir/promotion.csv" >/dev/null
 suite=(--protected=gender --pred=promoted --label=merit --strata=race

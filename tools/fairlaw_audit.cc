@@ -7,8 +7,9 @@
 //       [--chunk-rows=65536] [--max-memory-mb=512] [--streaming]
 //       [--obs-json=PATH] [--obs-timings]
 //
-// Reads a CSV, runs the configured fairness suite, and prints either the
-// human-readable report or (with --json) the machine-readable artifact.
+// Reads the columns of a CSV that the configured fairness suite names,
+// runs the suite, and prints either the human-readable report or (with
+// --json) the machine-readable artifact.
 // --chunk-rows feeds the morsel-driven engine (the output is identical
 // for every value); --streaming audits the CSV out-of-core one chunk at
 // a time (metric audit only — the table never materializes, so the
@@ -215,13 +216,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Only the columns the suite reads are typed, parsed and stored; the
+  // report is the same as over the full table.
+  fairlaw::data::CsvOptions csv_options;
+  csv_options.include_columns = parsed->suite.ColumnsRead();
   fairlaw::SuiteReport suite_report;
   if (parsed->streaming) {
     // Out-of-core path: the CSV streams through the chunk reader and the
     // table never materializes; only the metric audit section fills in.
     fairlaw::Result<fairlaw::audit::AuditResult> audit =
         fairlaw::audit::Auditor::Run(
-            fairlaw::audit::AuditSource::FromCsv(parsed->csv_path),
+            fairlaw::audit::AuditSource::FromCsv(parsed->csv_path,
+                                                 std::move(csv_options)),
             parsed->suite.audit);
     if (!audit.ok()) {
       std::fprintf(stderr, "audit error: %s\n",
@@ -232,7 +238,7 @@ int main(int argc, char** argv) {
     suite_report.all_clear = suite_report.audit.all_satisfied;
   } else {
     fairlaw::Result<fairlaw::data::Table> table =
-        fairlaw::data::ReadCsvFile(parsed->csv_path);
+        fairlaw::data::ReadCsvFile(parsed->csv_path, csv_options);
     if (!table.ok()) {
       std::fprintf(stderr, "error reading '%s': %s\n",
                    parsed->csv_path.c_str(),
